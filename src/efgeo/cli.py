@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -44,7 +45,7 @@ _USAGE_ERRORS = (
 )
 _FAILURE_ERRORS = (VerificationFailure, AccuracyGuard, NumericalBlowup)
 
-_MODEL_KEYS = {"eta": 0.1, "mass": 10.0, "gamma": 40.0, "inertia": None}
+_MODEL_KEYS = {f.name: f.default for f in dataclasses.fields(model.ModelParams)}
 _GRID_KEYS = {"x_min": -4.0, "x_max": 6.0, "n": 4096}
 
 _DEFAULTS = {
@@ -73,17 +74,18 @@ _DEFAULTS = {
 _FLAG_TYPES = {"inertia": float, "mutation": str}
 
 
+def _key_type(key, default):
+    return _FLAG_TYPES.get(key, type(default))
+
+
 def _add_override_flags(sub, defaults):
     for key, default in defaults.items():
         flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
+        kind = _key_type(key, default)
+        if kind is bool:
             sub.add_argument(flag, action="store_const", const=True, default=None)
-        elif isinstance(default, int) and not isinstance(default, bool):
-            sub.add_argument(flag, type=int, default=None)
-        elif isinstance(default, float):
-            sub.add_argument(flag, type=float, default=None)
         else:
-            sub.add_argument(flag, type=_FLAG_TYPES.get(key, str), default=None)
+            sub.add_argument(flag, type=kind, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +115,8 @@ def resolve_config(args) -> dict:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold one JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)} for {args.command}")
@@ -121,25 +125,52 @@ def resolve_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
+    for key, value in resolved.items():
+        _check_type(key, value, defaults[key])
+    if args.command == "verify-tensors":
+        _tensor_lists(resolved)
     return resolved
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: dict, tolerances: dict):
-    manifest = {
-        "command": command,
-        "config": cfg,
-        "tolerances": tolerances,
-        "version": __version__,
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _check_type(key, value, default):
+    """Reject a value whose type does not match the key's flag type.  JSON
+    ints are legal floats; bools are never numbers."""
+    if value is None and default is None:
+        return
+    kind = _key_type(key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {type(value).__name__}")
+
+
+def _tensor_lists(cfg) -> tuple:
+    """Grid sizes and recipe names of a verify-tensors run."""
+    try:
+        sizes = [int(s) for s in cfg["sizes"].split(",") if s]
+    except ValueError:
+        raise ConfigError(f"sizes must be comma-separated integers, got {cfg['sizes']!r}") from None
+    recipes = [r.strip() for r in cfg["recipes"].split(",") if r.strip()]
+    if not sizes or not recipes:
+        raise ConfigError("need at least one grid size and one recipe")
+    for name in recipes:
+        if name not in geometry.NAMED_RECIPES:
+            raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(geometry.NAMED_RECIPES)}")
+    return sizes, recipes
+
+
+def _write_json(path: Path, data: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _write_manifest(out_dir: Path, command: str, cfg: dict, tolerances: dict):
+    manifest = {"command": command, "config": cfg, "tolerances": tolerances, "version": __version__}
+    _write_json(out_dir / "manifest.json", manifest)
+
+
 def _model_and_grid(cfg):
-    params = model.ModelParams(
-        eta=cfg["eta"], mass=cfg["mass"], gamma=cfg["gamma"], inertia=cfg["inertia"]
-    )
+    params = model.ModelParams(**{key: cfg[key] for key in _MODEL_KEYS})
     grid = Grid1D(x_min=cfg["x_min"], x_max=cfg["x_max"], n=cfg["n"])
     return params, grid
 
@@ -169,16 +200,13 @@ def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
-    sizes = [int(s) for s in str(cfg["sizes"]).split(",") if s]
-    recipes = [r.strip() for r in str(cfg["recipes"]).split(",") if r.strip()]
+    sizes, recipes = _tensor_lists(cfg)
     _write_manifest(out_dir, "verify-tensors", cfg,
                     {"tol": cfg["tol"], "slope_min": cfg["slope_min"]})
     report = {"recipes": {}, "passed": True}
     for name in recipes:
-        if name not in geometry.NAMED_RECIPES:
-            raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(geometry.NAMED_RECIPES)}")
         recipe = geometry.NAMED_RECIPES[name]()
-        study = geometry.convergence_study(recipe, sizes=sizes, d=int(cfg["dimension"]))
+        study = geometry.convergence_study(recipe, sizes=sizes, d=cfg["dimension"])
         entry = {}
         for ident, rec in study.items():
             finest = rec["max_abs"][-1]
@@ -193,9 +221,7 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
             }
             report["passed"] = report["passed"] and ok
         report["recipes"][name] = entry
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "report.json", report)
     for name, entry in report["recipes"].items():
         worst = max(v["max_abs"][0] for v in entry.values())
         print(f"tensors[{name}]: worst residual {worst:.3e} -> "
@@ -205,8 +231,8 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
 
 def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
     params, grid = _model_and_grid(cfg)
+    times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
     _write_manifest(out_dir, "emit-figure", cfg, {})
-    times = np.linspace(cfg["t_start"], cfg["t_end"], int(cfg["samples"]))
     xbar = model.mean_position(times, params)
     sigma = model.width(times, params)
     t_geo = identity.t_geo_series(params, grid, times)
@@ -220,14 +246,14 @@ def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
 
 def cmd_propagate(cfg: dict, out_dir: Path) -> int:
     params, grid = _model_and_grid(cfg)
-    _write_manifest(out_dir, "propagate", cfg, {})
     prop_cfg = propagator.PropagatorConfig(
         dt=cfg["dt"], t_end=cfg["t_end"], h_update=cfg["h_update"],
         kinetic_precision=cfg["kinetic_precision"],
     )
+    _write_manifest(out_dir, "propagate", cfg, {})
     dump_path = out_dir / "trajectory.csv" if cfg["dump"] else None
     result = propagator.propagate(
-        params, grid, prop_cfg, n_samples=int(cfg["n_samples"]), dump_path=dump_path
+        params, grid, prop_cfg, n_samples=cfg["n_samples"], dump_path=dump_path
     )
     result.write_csv(out_dir / "error_series.csv")
     summary = {
@@ -237,9 +263,7 @@ def cmd_propagate(cfg: dict, out_dir: Path) -> int:
         "max_chi2_error": float(np.max(result.chi2_errors)),
         "max_t_geo_error": float(np.max(result.t_geo_errors)),
     }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "report.json", summary)
     print(
         f"propagate: {result.steps} steps, final L2 error {summary['final_l2_error']:.3e}, "
         f"norm drift {summary['norm_drift']:.3e}"

@@ -66,6 +66,8 @@ class EFDecomposition:
     phi2: np.ndarray
     dphi1: np.ndarray         # d(phi)/dx
     dphi2: np.ndarray
+    cov1: np.ndarray          # covariant derivative (P - A)Phi, P = -i d/dx
+    cov2: np.ndarray
     connection: np.ndarray    # A = Im <Phi| dPhi/dx>
     metric: np.ndarray        # g = <(P-A)Phi|(P-A)Phi>, non-negative
     c_tensor: np.ndarray      # Re <(P-A)Phi|(P-A)(P-A)Phi>
@@ -76,7 +78,6 @@ class EFDecomposition:
     method: str
     inertia: float = None
     current: np.ndarray = None        # J = inertia * chi2 * A
-    energy_density_geo: np.ndarray = None  # E_geo = inertia * g / 2
 
     @property
     def chi_abs(self) -> np.ndarray:
@@ -114,8 +115,7 @@ def decompose(
     """Exact factorization of psi with gauge lambda = 0 (chi real >= 0).
 
     floor is an absolute density threshold; by default 1e-13 of the density
-    maximum.  inertia, when given, also fills the current and the geometric
-    energy density.
+    maximum.  inertia, when given, also fills the current.
     """
     grid = psi.grid
     chi2 = psi.density()
@@ -147,10 +147,7 @@ def decompose(
     h2 = -1j * grid.derivative(g2, 1, method) - A * g2
     bracket = np.conj(g1) * h1 + np.conj(g2) * h2
 
-    current = energy_density = None
-    if inertia is not None:
-        current = inertia * chi2 * A
-        energy_density = 0.5 * inertia * metric
+    current = None if inertia is None else inertia * chi2 * A
 
     return EFDecomposition(
         grid=grid,
@@ -161,6 +158,8 @@ def decompose(
         phi2=phi2,
         dphi1=d1,
         dphi2=d2,
+        cov1=g1,
+        cov2=g2,
         connection=A,
         metric=metric,
         c_tensor=bracket.real,
@@ -171,30 +170,7 @@ def decompose(
         method=method,
         inertia=inertia,
         current=current,
-        energy_density_geo=energy_density,
     )
-
-
-def connection(dec: EFDecomposition) -> np.ndarray:
-    return dec.connection
-
-
-def metric(dec: EFDecomposition) -> np.ndarray:
-    return dec.metric
-
-
-def tensor_c(dec: EFDecomposition) -> np.ndarray:
-    return dec.c_tensor
-
-
-def tensor_d(dec: EFDecomposition) -> np.ndarray:
-    return dec.d_tensor
-
-
-def current(dec: EFDecomposition, inertia: float = None) -> np.ndarray:
-    """Nuclear current density J = inertia * |chi|^2 * A."""
-    inertia = _resolve_inertia(dec, inertia)
-    return inertia * dec.chi2 * dec.connection
 
 
 def energies(dec: EFDecomposition, inertia: float = None) -> KineticPartition:

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, RecipeError
+from .grid import central_difference
 
 _W_BOUND = 1.0 - 1e-3
 
@@ -75,11 +76,7 @@ class ParamGrid:
         return (16.0 * d4 - d4_coarse) / 15.0
 
     def _stencil(self, f, axis, step):
-        h = self.spacings[axis] * step
-        return (
-            8.0 * (np.roll(f, -step, axis) - np.roll(f, step, axis))
-            - (np.roll(f, -2 * step, axis) - np.roll(f, 2 * step, axis))
-        ) / (12.0 * h)
+        return central_difference(f, (8.0, -1.0), 12.0 * self.spacings[axis] * step, axis, step)
 
 
 @dataclass(frozen=True)
@@ -123,6 +120,15 @@ def smooth_recipe(
     return FamilyRecipe(w=w, phi=phi, a=a, name="smooth")
 
 
+def _const(value):
+    """Recipe field equal to value on every mesh point."""
+
+    def f(*Q):
+        return np.full(np.broadcast_shapes(*[q.shape for q in Q]), value)
+
+    return f
+
+
 def pure_gauge_recipe(mode: int = 1, w0: float = 0.3, phi0: float = 0.4) -> FamilyRecipe:
     """Constant Bloch angles with a linear (grid-eigenmode) gauge phase.
 
@@ -132,28 +138,15 @@ def pure_gauge_recipe(mode: int = 1, w0: float = 0.3, phi0: float = 0.4) -> Fami
     if mode != int(mode):
         raise ConfigError("pure gauge mode must be an integer to stay periodic")
 
-    def const(value):
-        def f(*Q):
-            return np.full(np.broadcast_shapes(*[q.shape for q in Q]), value)
-
-        return f
-
     def a(*Q):
         return float(mode) * Q[0]
 
-    return FamilyRecipe(w=const(w0), phi=const(phi0), a=a, name="pure-gauge")
+    return FamilyRecipe(w=_const(w0), phi=_const(phi0), a=a, name="pure-gauge")
 
 
 def constant_recipe(w0: float = 0.2, phi0: float = 0.5, a0: float = 0.0) -> FamilyRecipe:
     """Constant spinor everywhere: every tensor vanishes."""
-
-    def const(value):
-        def f(*Q):
-            return np.full(np.broadcast_shapes(*[q.shape for q in Q]), value)
-
-        return f
-
-    return FamilyRecipe(w=const(w0), phi=const(phi0), a=const(a0), name="constant")
+    return FamilyRecipe(w=_const(w0), phi=_const(phi0), a=_const(a0), name="constant")
 
 
 NAMED_RECIPES = {
@@ -310,16 +303,11 @@ def check_d_christoffel(ts: TensorFieldSet) -> ResidualReport:
 
 def check_symmetries(ts: TensorFieldSet) -> dict:
     d = ts.grid.d
-    c_sym = np.stack(
-        [ts.c[m, n, t] - ts.c[m, t, n] for m in range(d) for n in range(d) for t in range(d)]
-    )
-    d_sym = np.stack(
-        [ts.d[m, n, t] - ts.d[m, t, n] for m in range(d) for n in range(d) for t in range(d)]
-    )
-    return {
-        "c_last_two_symmetric": _report("c_last_two_symmetric", c_sym),
-        "d_last_two_symmetric": _report("d_last_two_symmetric", d_sym),
-    }
+    out = {}
+    for name, ten in (("c_last_two_symmetric", ts.c), ("d_last_two_symmetric", ts.d)):
+        sym = [ten[m, n, t] - ten[m, t, n] for m in range(d) for n in range(d) for t in range(d)]
+        out[name] = _report(name, np.stack(sym))
+    return out
 
 
 def check_decompositions(family: TwoLevelFamily, ts: TensorFieldSet) -> dict:

@@ -30,6 +30,23 @@ _D2_WINGS = {
 }
 
 
+def central_difference(f, coeffs, h, axis=-1, step=1):
+    """Periodic sum_j c_j (f_{i+j*step} - f_{i-j*step}) / h along one axis.
+
+    Starts from the first term and adds the rest in place: fixed order, fixed bits.
+    """
+    out = coeffs[0] * (np.roll(f, -step, axis) - np.roll(f, step, axis))
+    for j, cj in enumerate(coeffs[1:], start=2):
+        out += cj * (np.roll(f, -j * step, axis) - np.roll(f, j * step, axis))
+    return out / h
+
+
+def five_point(f_m2, f_m1, f_p1, f_p2, h):
+    """4th-order central rate from samples at offsets -2h, -h, +h, +2h, in
+    one fixed operation order."""
+    return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
+
+
 def _validated(grid, values):
     f = np.asarray(values)
     if f.shape != (grid.n,):
@@ -101,10 +118,7 @@ class Grid1D:
 
     def _fd_derivative(self, f, order, method):
         if order == 1:
-            out = np.zeros_like(f)
-            for j, cj in enumerate(_D1_COEFFS[method], start=1):
-                out += cj * (np.roll(f, -j) - np.roll(f, j))
-            return out / self.dx
+            return central_difference(f, _D1_COEFFS[method], self.dx)
         out = np.zeros_like(f)
         for j, dj in enumerate(_D2_WINGS[method], start=1):
             out += dj * ((np.roll(f, -j) - f) + (np.roll(f, j) - f))

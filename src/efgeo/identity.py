@@ -21,10 +21,9 @@ import numpy as np
 
 from . import ef, model
 from .errors import ConfigError, VerificationFailure
-from .grid import Grid1D
+from .grid import Grid1D, five_point
 
 MUTATIONS = ("flip_t1", "flip_t2", "flip_t3", "flip_t4", "drop_weight_t1")
-_STENCIL = (1.0, -8.0, 8.0, -1.0)  # offsets -2, -1, +1, +2, divided by 12 dt
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,13 @@ class IdentityReport:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
+    """Uniform sample times over [t_start, t_end], both ends included."""
+    if samples < 2 or not t_end > t_start:
+        raise ConfigError("need at least 2 samples spanning a nonzero time range")
+    return np.linspace(t_start, t_end, samples)
+
+
 def _decompose_at(params, grid, t, floor=None, method="fd12"):
     psi = model.assemble_psi(t, grid, params)
     return ef.decompose(psi, floor=floor, inertia=params.inertia, method=method)
@@ -161,7 +167,7 @@ def lhs_rate(series, dt: float) -> np.ndarray:
     if f.size < 5:
         raise ConfigError("need at least 5 samples for the 4th-order rate")
     out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dt)
+    out[2:-2] = five_point(f[:-4], f[1:-3], f[3:-1], f[4:], dt)
     out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * dt)
     out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * dt)
     out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * dt)
@@ -174,7 +180,7 @@ def _rate_local(params, grid, t, delta_t, floor=None, method="fd12") -> float:
     vals = t_geo_series(
         params, grid, [t - 2 * delta_t, t - delta_t, t + delta_t, t + 2 * delta_t], floor, method
     )
-    return float(np.dot(_STENCIL, vals) / (12.0 * delta_t))
+    return float(five_point(*vals, delta_t))
 
 
 def _gradient_sandwiches(dec, ham, method):
@@ -196,6 +202,15 @@ def _gradient_sandwiches(dec, ham, method):
         + 2.0 * dh1 * np.real(np.conj(dec.phi1) * dec.phi2)
     )
     return sand_dphi, sand_pop, (up, dh1, dn)
+
+
+def _force_density(dec, ham, method):
+    """Re <Phi| dH |(P - A)Phi>, the force density of the general form."""
+    _, _, (up, dh1, dn) = _gradient_sandwiches(dec, ham, method)
+    return np.real(
+        np.conj(dec.phi1) * (up * dec.cov1 + dh1 * dec.cov2)
+        + np.conj(dec.phi2) * (dh1 * dec.cov1 + dn * dec.cov2)
+    )
 
 
 def rhs_terms(
@@ -251,15 +266,7 @@ def rhs_general(params, grid: Grid1D, t: float, floor=None, method="fd12",
         ham = model.hamiltonian_entries(t, grid, params)
     I = params.inertia
     mask = dec.mask
-    _, _, (up, dh1, dn) = _gradient_sandwiches(dec, ham, method)
-
-    cov1 = -1j * dec.dphi1 - dec.connection * dec.phi1
-    cov2 = -1j * dec.dphi2 - dec.connection * dec.phi2
-    force_density = np.real(
-        np.conj(dec.phi1) * (up * cov1 + dh1 * cov2)
-        + np.conj(dec.phi2) * (dh1 * cov1 + dn * cov2)
-    )
-    force = -I * _masked_integral(grid, dec.chi2 * force_density, mask)
+    force = -I * _masked_integral(grid, dec.chi2 * _force_density(dec, ham, method), mask)
 
     curvature = 0.0  # B = dA/dx - dA/dx in a single dimension
 
@@ -283,14 +290,7 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5,
     dec = decs[0]
     I = params.inertia
     ham = model.hamiltonian_entries(t, grid, params)
-    _, _, (up, dh1, dn) = _gradient_sandwiches(dec, ham, method)
-
-    cov1 = -1j * dec.dphi1 - dec.connection * dec.phi1
-    cov2 = -1j * dec.dphi2 - dec.connection * dec.phi2
-    force_density = np.real(
-        np.conj(dec.phi1) * (up * cov1 + dh1 * cov2)
-        + np.conj(dec.phi2) * (dh1 * cov1 + dn * cov2)
-    )
+    force_density = _force_density(dec, ham, method)
     D = lambda f: grid.derivative(f, 1, method)
     dlog_chi2 = np.divide(D(dec.chi2), dec.chi2, out=np.zeros_like(dec.chi2), where=dec.chi2 > 0)
     rhs = (
@@ -301,9 +301,7 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5,
         - I * I * dec.metric * D(dec.connection)
     )
 
-    lhs = 0.5 * I * (
-        decs[-2].metric - 8.0 * decs[-1].metric + 8.0 * decs[1].metric - decs[2].metric
-    ) / (12.0 * delta_t)
+    lhs = 0.5 * I * five_point(*(decs[off].metric for off in (-2, -1, 1, 2)), delta_t)
 
     mask = decs[0].mask.copy()
     for off in (-2, -1, 1, 2):
@@ -330,9 +328,7 @@ def verify(
     Raises VerificationFailure (carrying the report) when neither reading
     meets rel_tol in the max norm relative to the peak rate.
     """
-    if samples < 2 or not t_end > t_start:
-        raise ConfigError("need at least 2 samples spanning a nonzero time range")
-    times = np.linspace(t_start, t_end, samples)
+    times = sample_times(t_start, t_end, samples)
     lhs = np.empty(samples)
     terms_a = np.empty((4, samples))
     terms_b = np.empty((4, samples))

@@ -9,7 +9,6 @@ model parameters, the time and the grid.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .ef import TwoComponentWavefunction
 from .errors import ConfigError, ResolutionWarning, SingularGauge
-from .grid import Grid1D
+from .grid import Grid1D, five_point
 
 _CLIP = 700.0  # exp argument guard
 
@@ -43,19 +42,6 @@ class ModelParams:
             object.__setattr__(self, "inertia", 1.0 / self.mass)
         elif self.inertia <= 0.0:
             raise ConfigError("inertia must be positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelParams":
-        known = {k: data[k] for k in ("eta", "mass", "gamma", "inertia") if k in data}
-        unknown = set(data) - {"eta", "mass", "gamma", "inertia"}
-        if unknown:
-            raise ConfigError(f"unknown model parameter keys: {sorted(unknown)}")
-        return cls(**known)
-
-    @classmethod
-    def from_file(cls, path) -> "ModelParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -306,12 +292,9 @@ def _bloch_time_fd(t, grid, params, delta_t):
     # 4th-order central difference of the Bloch fields; t may dip slightly
     # negative, where every closed form continues smoothly.
     states = [bloch_fields(t + j * delta_t, grid, params) for j in (-2, -1, 1, 2)]
-
-    def rate(attr):
-        f = [getattr(s, attr) for s in states]
-        return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * delta_t)
-
-    return rate("w"), rate("phi"), rate("alpha")
+    return tuple(
+        five_point(*(getattr(s, attr) for s in states), delta_t) for attr in ("w", "phi", "alpha")
+    )
 
 
 def assemble_psi(t, grid: Grid1D, params: ModelParams) -> TwoComponentWavefunction:

@@ -25,31 +25,36 @@ from . import ef, model
 from .errors import AccuracyGuard, ConfigError, NumericalBlowup
 from .grid import Grid1D
 
+DT_MAX = 1e-3  # accuracy guard on the step size
+HORIZON_REL_TOL = 1e-9  # largest |steps * dt - t_end| / t_end accepted
+
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Step size, horizon and sampling of one propagation run."""
+    """Step size, horizon and sampling of one Strang propagation run."""
 
     dt: float
     t_end: float
-    scheme: str = "strang"
     h_update: str = "per-step"  # sample h at midpoint once, or per half-step
-    dt_max: float = 1e-3
     kinetic_precision: str = "extended"  # "extended" (long double) or "double"
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ConfigError("t_end must be non-negative")
-        if self.scheme != "strang":
-            raise ConfigError(f"unsupported scheme {self.scheme!r}")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigError("dt must be positive and finite")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ConfigError("t_end must be non-negative and finite")
+        if abs(self.steps * self.dt - self.t_end) > HORIZON_REL_TOL * self.t_end:
+            raise ConfigError(f"t_end = {self.t_end} is not a whole number of steps dt = {self.dt}")
         if self.h_update not in ("per-step", "per-half-step"):
             raise ConfigError(f"unknown h_update {self.h_update!r}")
         if self.kinetic_precision not in ("extended", "double"):
             raise ConfigError(f"unknown kinetic_precision {self.kinetic_precision!r}")
-        if self.dt > self.dt_max:
-            raise AccuracyGuard(f"dt = {self.dt} exceeds the guard {self.dt_max}")
+        if self.dt > DT_MAX:
+            raise AccuracyGuard(f"dt = {self.dt} exceeds the guard {DT_MAX}")
+
+    @property
+    def steps(self) -> int:
+        return round(self.t_end / self.dt)
 
 
 @dataclass
@@ -109,47 +114,19 @@ def _kinetic_phase(grid, dt, inertia, precision):
 
 def _kinetic_full(psi1, psi2, phase):
     if phase.dtype == np.clongdouble:
-        return (
-            _sfft.ifft(phase * _sfft.fft(psi1.astype(np.clongdouble))).astype(complex),
-            _sfft.ifft(phase * _sfft.fft(psi2.astype(np.clongdouble))).astype(complex),
-        )
-    return (
-        np.fft.ifft(phase * np.fft.fft(psi1)),
-        np.fft.ifft(phase * np.fft.fft(psi2)),
-    )
+        extended = lambda p: _sfft.ifft(phase * _sfft.fft(p.astype(np.clongdouble))).astype(complex)
+        return extended(psi1), extended(psi2)
+    return np.fft.ifft(phase * np.fft.fft(psi1)), np.fft.ifft(phase * np.fft.fft(psi2))
 
 
 def _step_arrays(psi1, psi2, t, dt, h_provider, kin_phase, h_update):
-    if h_update == "per-step":
-        h0, h1, h3 = h_provider(t + 0.5 * dt)
-        psi1, psi2 = _potential_half(psi1, psi2, h0, h1, h3, 0.5 * dt)
-        psi1, psi2 = _kinetic_full(psi1, psi2, kin_phase)
-        return _potential_half(psi1, psi2, h0, h1, h3, 0.5 * dt)
-    h0, h1, h3 = h_provider(t + 0.25 * dt)
-    psi1, psi2 = _potential_half(psi1, psi2, h0, h1, h3, 0.5 * dt)
+    per_step = h_update == "per-step"
+    h = h_provider(t + (0.5 if per_step else 0.25) * dt)
+    psi1, psi2 = _potential_half(psi1, psi2, *h, 0.5 * dt)
     psi1, psi2 = _kinetic_full(psi1, psi2, kin_phase)
-    h0, h1, h3 = h_provider(t + 0.75 * dt)
-    return _potential_half(psi1, psi2, h0, h1, h3, 0.5 * dt)
-
-
-def step(
-    psi: ef.TwoComponentWavefunction,
-    t: float,
-    dt: float,
-    params,
-    h_provider=None,
-    h_update: str = "per-step",
-    kinetic_precision: str = "extended",
-) -> ef.TwoComponentWavefunction:
-    """One Strang step from t to t + dt."""
-    grid = psi.grid
-    if h_provider is None:
-        h_provider = model_h_provider(params, grid)
-    kin_phase = _kinetic_phase(grid, dt, params.inertia, kinetic_precision)
-    p1, p2 = _step_arrays(psi.psi1, psi.psi2, t, dt, h_provider, kin_phase, h_update)
-    if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
-        raise NumericalBlowup(f"non-finite state after step at t = {t}")
-    return ef.TwoComponentWavefunction(grid=grid, psi1=p1, psi2=p2)
+    if not per_step:
+        h = h_provider(t + 0.75 * dt)
+    return _potential_half(psi1, psi2, *h, 0.5 * dt)
 
 
 def propagate(
@@ -177,7 +154,7 @@ def propagate(
     if reference is None:
         reference = lambda t: model.assemble_psi(t, grid, params)
 
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
+    n_steps = cfg.steps
     sample_steps = sorted(set(np.linspace(0, n_steps, n_samples).astype(int))) if n_steps else [0]
     kin_phase = _kinetic_phase(grid, cfg.dt, params.inertia, cfg.kinetic_precision)
 

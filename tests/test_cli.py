@@ -1,8 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from efgeo import cli
 from efgeo.cli import main
 
 
@@ -161,3 +167,80 @@ class TestPropagate:
                     "--n-samples", "2", "--dump", "--out", str(out)])
         assert code == 0
         assert (out / "trajectory.csv").exists()
+
+
+def _config(tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return ["--config", str(path)]
+
+
+# one case per input defect that used to traceback or exit with the wrong code
+BAD_INPUTS = {
+    "string_for_int": lambda p: ["verify-identity", *_config(p, {"n": "4096"})],
+    "float_for_int": lambda p: ["verify-identity", *_config(p, {"samples": 10.5})],
+    "bool_for_float": lambda p: ["verify-identity", *_config(p, {"mass": True})],
+    "list_for_sizes": lambda p: ["verify-tensors", *_config(p, {"sizes": [64, 128]})],
+    "non_integer_size": lambda p: ["verify-tensors", "--sizes", "64,abc"],
+    "partial_last_step": lambda p: ["propagate", "--dt", "3e-4", "--t-end", "1e-3"],
+    "no_figure_samples": lambda p: ["emit-figure", "--samples", "0"],
+    "reversed_figure_range": lambda p: ["emit-figure", "--t-start", "2", "--t-end", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(BAD_INPUTS[case](tmp_path) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_json_int_is_a_legal_float(tmp_path):
+    out = tmp_path / "fig"
+    args = _config(tmp_path, {"n": 1024, "samples": 3, "t_end": 1})
+    assert run(["emit-figure", *args, "--out", str(out)]) == 0
+    assert len((out / "figure.csv").read_text().splitlines()) == 4
+
+
+# keys whose default is None, with the type their values must have
+_NULLABLE = {"inertia": float, "mutation": str}
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6), st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _legal(default, kind, value):
+    if value is None:
+        return default is None
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _must_not_run(cfg, out_dir):
+    raise AssertionError("computation started on a mistyped config")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mistyped_config_value_exits_2_before_any_computation(data):
+    command = data.draw(st.sampled_from(sorted(cli._DEFAULTS)))
+    key = data.draw(st.sampled_from(sorted(cli._DEFAULTS[command])))
+    default = cli._DEFAULTS[command][key]
+    kind = _NULLABLE.get(key, type(default))
+    value = data.draw(_JSON_VALUES.filter(lambda v: not _legal(default, kind, v)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        never = dict.fromkeys(cli._COMMANDS, _must_not_run)
+        with mock.patch.dict(cli._COMMANDS, never):
+            code = run([command, *_config(tmp, {key: value}), "--out", str(tmp / "out")])
+        assert code == 2
+        assert not (tmp / "out").exists()

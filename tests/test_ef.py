@@ -95,9 +95,7 @@ class TestDecompose:
     def test_covariant_projection_vanishes(self, params, grid4096):
         # Re <Phi | (P - A) Phi> = 0 pointwise by construction of A
         dec = ef.decompose(model.assemble_psi(0.5, grid4096, params))
-        g1 = -1j * dec.dphi1 - dec.connection * dec.phi1
-        g2 = -1j * dec.dphi2 - dec.connection * dec.phi2
-        proj = np.real(np.conj(dec.phi1) * g1 + np.conj(dec.phi2) * g2)
+        proj = np.real(np.conj(dec.phi1) * dec.cov1 + np.conj(dec.phi2) * dec.cov2)
         assert np.max(np.abs(proj)[dec.mask]) <= 1e-8
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -115,10 +113,10 @@ class TestDecompose:
 
     def test_eager_fields_populated_with_inertia(self, params, grid4096):
         dec = ef.decompose(model.assemble_psi(0.2, grid4096, params), inertia=params.inertia)
-        assert dec.current is not None and dec.energy_density_geo is not None
-        assert np.allclose(dec.current, ef.current(dec), atol=0, rtol=0)
+        assert dec.current is not None
+        assert np.array_equal(dec.current, params.inertia * dec.chi2 * dec.connection)
         bare = ef.decompose(model.assemble_psi(0.2, grid4096, params))
-        assert bare.current is None and bare.energy_density_geo is None
+        assert bare.current is None
 
     def test_floor_validation(self, grid1024):
         psi = gaussian_state(grid1024)
@@ -180,7 +178,7 @@ class TestConnection:
     def test_model_connection_matches_closed_form(self, params, grid4096, t):
         dec = ef.decompose(model.assemble_psi(t, grid4096, params))
         closed = model.vector_potential(grid4096.x, t, params)
-        assert np.max(np.abs(ef.connection(dec) - closed)[dec.mask]) <= 1e-7
+        assert np.max(np.abs(dec.connection - closed)[dec.mask]) <= 1e-7
 
 
 class TestMetric:
@@ -197,7 +195,7 @@ class TestMetric:
     def test_model_metric_matches_closed_form(self, params, grid4096, t):
         dec = ef.decompose(model.assemble_psi(t, grid4096, params))
         _, g_closed, _, _ = closed_form_tensors(t, grid4096, params)
-        assert np.max(np.abs(ef.metric(dec) - g_closed)[dec.mask]) <= 1e-7
+        assert np.max(np.abs(dec.metric - g_closed)[dec.mask]) <= 1e-7
 
     def test_metric_non_negative(self, params, grid4096):
         dec = ef.decompose(model.assemble_psi(0.8, grid4096, params))
@@ -216,8 +214,8 @@ class TestRankThreeTensors:
         dec = ef.decompose(model.assemble_psi(t, grid4096, params))
         _, _, c_closed, d_closed = closed_form_tensors(t, grid4096, params)
         m = dec.mask
-        assert np.max(np.abs(ef.tensor_c(dec) - c_closed)[m]) <= 1e-6
-        assert np.max(np.abs(ef.tensor_d(dec) - d_closed)[m]) <= 1e-6
+        assert np.max(np.abs(dec.c_tensor - c_closed)[m]) <= 1e-6
+        assert np.max(np.abs(dec.d_tensor - d_closed)[m]) <= 1e-6
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_d_equals_minus_half_metric_gradient(self, params, grid4096, t):
@@ -276,12 +274,14 @@ class TestEnergies:
 
 class TestCurrent:
     def test_zero_for_real_state(self, grid1024):
-        dec = ef.decompose(gaussian_state(grid1024))
-        assert np.max(np.abs(ef.current(dec, 0.1))) <= 1e-13
+        dec = ef.decompose(gaussian_state(grid1024), inertia=0.1)
+        assert np.max(np.abs(dec.current)) <= 1e-13
 
     def test_linear_in_inertia(self, params, grid4096):
-        dec = ef.decompose(model.assemble_psi(0.7, grid4096, params))
-        assert np.allclose(ef.current(dec, 0.2), 2.0 * ef.current(dec, 0.1), rtol=0, atol=1e-15)
+        psi = model.assemble_psi(0.7, grid4096, params)
+        j2 = ef.decompose(psi, inertia=0.2).current
+        j1 = ef.decompose(psi, inertia=0.1).current
+        assert np.allclose(j2, 2.0 * j1, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_continuity_through_decomposition(self, params, grid4096, t):

@@ -3,6 +3,7 @@ import pytest
 
 from efgeo import model
 from efgeo.errors import DomainError, GridError, InvalidField
+from efgeo.geometry import ParamGrid
 from efgeo.grid import Grid1D
 
 
@@ -70,6 +71,15 @@ def test_fd4_fourth_order_convergence():
         errs.append(np.max(np.abs(g.derivative(f, 1, "fd4") - k * np.cos(k * g.x))))
     ratio = errs[0] / errs[1]
     assert 14.0 < ratio < 18.0
+
+
+@pytest.mark.parametrize("m", [32, 64, 128])
+def test_param_grid_diff_matches_grid_fd4(m):
+    # both layers differentiate through the one central-difference helper
+    g = Grid1D(0.0, 2.0 * np.pi, m)
+    f = np.exp(np.sin(g.x)) * np.cos(3.0 * g.x)
+    expected = g.derivative(f, 1, "fd4")
+    assert np.max(np.abs(ParamGrid((m,)).diff(f, 0) - expected)) <= 1e-13
 
 
 def test_complex_field_derivative():

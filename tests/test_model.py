@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -32,15 +30,6 @@ class TestModelParams:
     def test_inertia_override(self):
         assert ModelParams(inertia=0.25).inertia == 0.25
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps({"eta": 0.2, "mass": 5.0, "gamma": 20.0}))
-        p = ModelParams.from_file(path)
-        assert (p.eta, p.mass, p.gamma, p.inertia) == (0.2, 5.0, 20.0, 0.2)
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            ModelParams.from_dict({"eta": 0.1, "masss": 1.0})
 
 
 class TestPacketFunctions:

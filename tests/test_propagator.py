@@ -17,8 +17,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             propagator.PropagatorConfig(dt=1e-4, t_end=-1.0)
         with pytest.raises(ConfigError):
-            propagator.PropagatorConfig(dt=1e-4, t_end=1.0, scheme="euler")
-        with pytest.raises(ConfigError):
             propagator.PropagatorConfig(dt=1e-4, t_end=1.0, h_update="sometimes")
 
     def test_accuracy_guard(self):
@@ -119,7 +117,7 @@ class TestModelPropagation:
 
     def test_half_step_sampling_also_second_order(self, params, grid4096):
         study = propagator.convergence_order(
-            params, grid4096, (8e-4, 4e-4), t_end=0.25, h_update="per-half-step"
+            params, grid4096, (8e-4, 4e-4), t_end=0.2, h_update="per-half-step"
         )
         assert 1.8 <= study["order"] <= 2.2
 
@@ -129,9 +127,9 @@ class TestModelPropagation:
         assert res.steps == 0
         assert res.l2_errors[-1] == 0.0
 
-    def test_single_step_helper(self, params, grid4096):
-        psi = model.assemble_psi(0.0, grid4096, params)
-        stepped = propagator.step(psi, 0.0, 1e-4, params)
+    def test_single_step(self, params, grid4096):
+        cfg = propagator.PropagatorConfig(dt=1e-4, t_end=1e-4)
+        stepped = propagator.propagate(params, grid4096, cfg, n_samples=2).final_state
         ref = model.assemble_psi(1e-4, grid4096, params)
         diff2 = np.abs(stepped.psi1 - ref.psi1) ** 2 + np.abs(stepped.psi2 - ref.psi2) ** 2
         assert np.sqrt(grid4096.integrate(diff2)) <= 1e-9

@@ -33,11 +33,23 @@ _D2_WINGS = {
 def central_difference(f, coeffs, h, axis=-1, step=1):
     """Periodic sum_j c_j (f_{i+j*step} - f_{i-j*step}) / h along one axis.
 
+    Every shifted operand is a slice view of one wrapped copy of f, which
+    holds w = len(coeffs)*step <= n entries of periodic image on either side.
     Starts from the first term and adds the rest in place: fixed order, fixed bits.
     """
-    out = coeffs[0] * (np.roll(f, -step, axis) - np.roll(f, step, axis))
+    f = np.asarray(f)
+    axis = axis % f.ndim
+    n = f.shape[axis]
+    w = len(coeffs) * step
+    lead = (slice(None),) * axis
+    padded = np.concatenate([f[lead + (slice(n - w, None),)], f, f[lead + (slice(0, w),)]], axis)
+
+    def shifted(k):
+        return padded[lead + (slice(w + k, w + k + n),)]
+
+    out = coeffs[0] * (shifted(step) - shifted(-step))
     for j, cj in enumerate(coeffs[1:], start=2):
-        out += cj * (np.roll(f, -j * step, axis) - np.roll(f, j * step, axis))
+        out += cj * (shifted(j * step) - shifted(-j * step))
     return out / h
 
 

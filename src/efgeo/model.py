@@ -32,6 +32,10 @@ class ModelParams:
     inertia: float = None
 
     def __post_init__(self):
+        for key in ("eta", "mass", "gamma", "inertia"):
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{key} = {value} is not finite")
         if not 0.0 < self.eta < 0.5:
             raise ConfigError(f"eta = {self.eta} outside (0, 1/2)")
         if self.mass <= 0.0:

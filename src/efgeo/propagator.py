@@ -129,6 +129,14 @@ def _step_arrays(psi1, psi2, t, dt, h_provider, kin_phase, h_update):
     return _potential_half(psi1, psi2, *h, 0.5 * dt)
 
 
+def sample_steps(n_steps: int, n_samples: int) -> list:
+    """Step indices at which a run of n_steps records its errors: n_samples
+    evenly spaced from the first step to the last, fewer where they coincide."""
+    if n_samples < 2:
+        raise ConfigError(f"n_samples = {n_samples}: need at least 2, the first and the last step")
+    return sorted(set(np.linspace(0, n_steps, n_samples).astype(int))) if n_steps else [0]
+
+
 def propagate(
     params,
     grid: Grid1D,
@@ -147,6 +155,8 @@ def propagate(
     overridden independently (e.g. zero potential against a free-packet
     reference).
     """
+    n_steps = cfg.steps
+    samples = sample_steps(n_steps, n_samples)
     if h_provider is None:
         h_provider = model_h_provider(params, grid)
     if initial is None:
@@ -154,8 +164,6 @@ def propagate(
     if reference is None:
         reference = lambda t: model.assemble_psi(t, grid, params)
 
-    n_steps = cfg.steps
-    sample_steps = sorted(set(np.linspace(0, n_steps, n_samples).astype(int))) if n_steps else [0]
     kin_phase = _kinetic_phase(grid, cfg.dt, params.inertia, cfg.kinetic_precision)
 
     psi1 = initial.psi1.astype(complex)
@@ -170,7 +178,7 @@ def propagate(
     try:
         if dump:
             dump.write("t,x,re_psi1,im_psi1,re_psi2,im_psi2\n")
-        sample_iter = iter(sample_steps)
+        sample_iter = iter(samples)
         next_sample = next(sample_iter)
         for step_idx in range(n_steps + 1):
             t = step_idx * cfg.dt

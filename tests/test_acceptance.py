@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_periodic_state, regauged, smooth_gauge
+from periodic_states import make_periodic_state, regauged, smooth_gauge
 from efgeo import cli, ef, geometry as geo, identity, model, propagator
 from efgeo.grid import Grid1D
 from test_ef import closed_form_tensors

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efgeo import cli
+from efgeo import cli, geometry
 from efgeo.cli import main
 
 
@@ -133,6 +133,23 @@ class TestVerifyTensors:
         assert run(["verify-tensors", "--sizes", "8,16",
                     "--out", str(tmp_path / "x")]) == 2
 
+    def test_nan_residual_fails(self, tmp_path):
+        out = tmp_path / "vtn"
+        clean = geometry.tensors
+
+        def poisoned(family, richardson=False):
+            ts = clean(family, richardson)
+            ts.c[1, 1, 0][3, 4] = np.nan
+            return ts
+
+        with mock.patch.object(geometry, "tensors", poisoned):
+            code = run(["verify-tensors", "--recipes", "smooth", "--sizes", "32,40",
+                        "--out", str(out)])
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert not report["passed"]
+        assert np.isnan(report["recipes"]["smooth"]["c_b_exchange"]["max_abs"][0])
+
     def test_unknown_recipe(self, tmp_path):
         assert run(["verify-tensors", "--recipes", "mystery",
                     "--out", str(tmp_path / "x")]) == 2
@@ -169,11 +186,17 @@ class TestPropagate:
         assert (out / "trajectory.csv").exists()
 
 
-def _config(tmp_path, data):
+def _raw_config(tmp_path, text):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
+    path.write_text(text)
     return ["--config", str(path)]
 
+
+def _config(tmp_path, data):
+    return _raw_config(tmp_path, json.dumps(data))
+
+
+_SHORT_RUN = ["--n", "1024", "--dt", "1e-3", "--t-end", "0.002"]
 
 # one case per input defect that used to traceback or exit with the wrong code
 BAD_INPUTS = {
@@ -185,6 +208,15 @@ BAD_INPUTS = {
     "partial_last_step": lambda p: ["propagate", "--dt", "3e-4", "--t-end", "1e-3"],
     "no_figure_samples": lambda p: ["emit-figure", "--samples", "0"],
     "reversed_figure_range": lambda p: ["emit-figure", "--t-start", "2", "--t-end", "1"],
+    "no_propagate_samples": lambda p: ["propagate", *_SHORT_RUN, "--n-samples", "0"],
+    "one_propagate_sample": lambda p: ["propagate", *_SHORT_RUN, "--n-samples", "1"],
+    "huge_int_for_float": lambda p: ["verify-identity", *_config(p, {"inertia": 10 ** 400})],
+    "int_past_digit_limit": lambda p: [
+        "verify-identity", *_raw_config(p, '{"inertia": ' + "1" * 5000 + "}")
+    ],
+    "infinite_mass": lambda p: ["verify-identity", *_config(p, {"mass": float("inf")})],
+    "unresolved_heavy_packet": lambda p: ["verify-identity", "--mass", "1e308"],
+    "unresolved_coarse_grid": lambda p: ["verify-identity", "--n", "64"],
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_periodic_state, regauged, smooth_gauge
+from periodic_states import make_periodic_state, regauged, smooth_gauge
 from efgeo import ef, model
 from efgeo.errors import ConfigError, DegenerateState, InvalidField
 

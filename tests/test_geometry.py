@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,19 @@ class TestIdentities:
         study = geo.convergence_study(geo.smooth_recipe(), sizes=(32, 48, 64), d=3)
         for name in geo.IDENTITY_NAMES:
             assert study[name]["order"] >= 3.5, name
+
+
+class TestNanResiduals:
+    # (1, 1, 0) sits in an off-diagonal exchange piece, (1, 0, 1) in a diagonal one
+    @pytest.mark.parametrize("idx", [(1, 1, 0), (1, 0, 1)])
+    def test_nan_in_later_component_propagates(self, smooth64, idx):
+        _, ts = smooth64
+        c = ts.c.copy()
+        c[idx][5, 7] = np.nan
+        bad = dataclasses.replace(ts, c=c)
+        assert np.isnan(geo.check_symmetries(bad)["c_last_two_symmetric"].max_abs)
+        assert np.isnan(geo.check_cb_identity(bad).max_abs)
+        assert not np.isnan(geo.check_symmetries(bad)["d_last_two_symmetric"].max_abs)
 
 
 class TestIrreducibleThirdOrder:

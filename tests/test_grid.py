@@ -4,7 +4,7 @@ import pytest
 from efgeo import model
 from efgeo.errors import DomainError, GridError, InvalidField
 from efgeo.geometry import ParamGrid
-from efgeo.grid import Grid1D
+from efgeo.grid import _D1_COEFFS, Grid1D, central_difference
 
 
 def test_grid_construction_and_points():
@@ -80,6 +80,37 @@ def test_param_grid_diff_matches_grid_fd4(m):
     f = np.exp(np.sin(g.x)) * np.cos(3.0 * g.x)
     expected = g.derivative(f, 1, "fd4")
     assert np.max(np.abs(ParamGrid((m,)).diff(f, 0) - expected)) <= 1e-13
+
+
+def _roll_stencil(f, coeffs, h, axis, step):
+    # reference: the same sum in the same order, with np.roll copies
+    out = coeffs[0] * (np.roll(f, -step, axis) - np.roll(f, step, axis))
+    for j, cj in enumerate(coeffs[1:], start=2):
+        out += cj * (np.roll(f, -j * step, axis) - np.roll(f, j * step, axis))
+    return out / h
+
+
+def _field(shape, kind):
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal(shape)
+    return f + 1j * rng.standard_normal(shape) if kind == "complex" else f
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("method", sorted(_D1_COEFFS))
+def test_central_difference_bits_match_roll_1d(method, kind):
+    f = _field(256, kind)
+    coeffs = _D1_COEFFS[method]
+    assert np.array_equal(central_difference(f, coeffs, 0.03), _roll_stencil(f, coeffs, 0.03, -1, 1))
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_central_difference_bits_match_roll_3d(axis, step):
+    f = _field((20, 24, 18), "real")
+    h = 12.0 * 0.1 * step
+    got = central_difference(f, (8.0, -1.0), h, axis, step)
+    assert np.array_equal(got, _roll_stencil(f, (8.0, -1.0), h, axis, step))
 
 
 def test_complex_field_derivative():

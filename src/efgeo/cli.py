@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, geometry, identity, model, propagator
+from . import __version__, ef, geometry, identity, model, propagator
 from .errors import (
     AccuracyGuard,
     ConfigError,
@@ -180,7 +181,13 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, tolerances: dict):
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _model_and_grid(cfg):
+def _model_and_grid(cfg, times):
+    """Model and grid of a run that builds the model state at `times`.
+
+    Refuses, before any output, a grid too coarse for the packet and a
+    domain that leaves more of the packet outside than the state-norm check
+    in ef accepts at any of those times.
+    """
     params = model.ModelParams(**{key: cfg[key] for key in _MODEL_KEYS})
     grid = Grid1D(x_min=cfg["x_min"], x_max=cfg["x_max"], n=cfg["n"])
     narrowest = 1.0 / (3.0 * np.sqrt(params.mass))  # model.width where cos t = 0
@@ -190,11 +197,26 @@ def _model_and_grid(cfg):
             f"grid spacing dx = {grid.dx:.3g} gives {points:.3g} points across the narrowest "
             f"packet width {narrowest:.3g}; need at least {MIN_POINTS_PER_WIDTH}"
         )
+    centres = model.mean_position(times, params)
+    widths = model.width(times, params)
+    # mass of the gaussian exp(-u^2)/(sqrt(pi) sigma) beyond each edge
+    outside = [0.5 * (math.erfc((c - grid.x_min) / s) + math.erfc((grid.x_max - c) / s))
+               for c, s in zip(centres, widths)]
+    worst = int(np.argmax(outside))
+    if not outside[worst] <= ef.NORM_TOL:
+        raise ConfigError(
+            f"domain x_min = {grid.x_min}, x_max = {grid.x_max} misses the packet: at "
+            f"t = {times[worst]:.6g} its centre {centres[worst]:.6g} (width {widths[worst]:.3g}) "
+            f"leaves {outside[worst]:.3g} of the norm outside, more than {ef.NORM_TOL:g}"
+        )
     return params, grid
 
 
 def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
-    params, grid = _model_and_grid(cfg)
+    times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
+    # each sample also builds states at t +- delta_t and t +- 2 delta_t
+    stencil = times[:, None] + cfg["delta_t"] * np.arange(-2, 3)
+    params, grid = _model_and_grid(cfg, stencil.ravel())
     _write_manifest(out_dir, "verify-identity", cfg, {"rel_tol": cfg["rel_tol"]})
     try:
         report = identity.verify(
@@ -248,8 +270,8 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
-    params, grid = _model_and_grid(cfg)
     times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
+    params, grid = _model_and_grid(cfg, times)
     _write_manifest(out_dir, "emit-figure", cfg, {})
     xbar = model.mean_position(times, params)
     sigma = model.width(times, params)
@@ -263,12 +285,12 @@ def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_propagate(cfg: dict, out_dir: Path) -> int:
-    params, grid = _model_and_grid(cfg)
     prop_cfg = propagator.PropagatorConfig(
         dt=cfg["dt"], t_end=cfg["t_end"], h_update=cfg["h_update"],
         kinetic_precision=cfg["kinetic_precision"],
     )
-    propagator.sample_steps(prop_cfg.steps, cfg["n_samples"])  # refuse before any output
+    samples = propagator.sample_steps(prop_cfg.steps, cfg["n_samples"])  # refuse before any output
+    params, grid = _model_and_grid(cfg, np.asarray(samples) * prop_cfg.dt)
     _write_manifest(out_dir, "propagate", cfg, {})
     dump_path = out_dir / "trajectory.csv" if cfg["dump"] else None
     result = propagator.propagate(

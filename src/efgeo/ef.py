@@ -24,6 +24,7 @@ from .errors import ConfigError, DegenerateState, InvalidField
 from .grid import Grid1D
 
 DEFAULT_FLOOR_RATIO = 1e-13
+NORM_TOL = 1e-10  # largest |norm - 1| a TwoComponentWavefunction accepts
 # Phi is frozen (constant continuation) only well below the mask floor, so
 # derivative stencils near the mask edge still see smooth data.
 EXTENSION_RATIO = 1e-4
@@ -44,8 +45,8 @@ class TwoComponentWavefunction:
             if not np.all(np.isfinite(comp)):
                 raise InvalidField("spinor component has non-finite entries")
         norm = self.norm()
-        if abs(norm - 1.0) > 1e-10:
-            raise InvalidField(f"state norm {norm!r} deviates from 1 by more than 1e-10")
+        if abs(norm - 1.0) > NORM_TOL:
+            raise InvalidField(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL:g}")
 
     def density(self) -> np.ndarray:
         return np.abs(self.psi1) ** 2 + np.abs(self.psi2) ** 2

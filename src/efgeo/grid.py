@@ -81,6 +81,13 @@ class Grid1D:
             raise GridError(f"n = {self.n} < 16")
         if not self.x_max > self.x_min:
             raise GridError("x_max must exceed x_min")
+        # coordinate arrays are built once and shared by every reader, so
+        # they are read-only: a write would change the grid for all of them
+        x = self.x_min + self.dx * np.arange(self.n)
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, self.dx)
+        for name, arr in (("_x", x), ("_wavenumbers", k)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def length(self) -> float:
@@ -92,11 +99,13 @@ class Grid1D:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        """Grid points x_min + i*dx (read-only)."""
+        return self._x
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, self.dx)
+        """FFT-ordered angular wavenumbers 2 pi fftfreq(n, dx) (read-only)."""
+        return self._wavenumbers
 
     def derivative(self, values, order: int = 1, method: str = "spectral") -> np.ndarray:
         """Pointwise derivative of a field sampled on the grid.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,12 +144,13 @@ class _Fields:
     Spatial derivatives are exact expressions; the gauge phase alpha and its
     time derivative integrate the exponentially localized front term with the
     spectral antiderivative (the smooth drift term is integrated in closed
-    form).
+    form).  alpha, alpha_xx, chi2 and chi_abs are computed on first read:
+    the Hamiltonian entries need none of them.
     """
 
     def __init__(self, t: float, grid: Grid1D, params: ModelParams):
         eta, gamma, inertia = params.eta, params.gamma, params.inertia
-        x = grid.x
+        self.x = x = grid.x
         self.t = float(t)
         self.grid = grid
         self.params = params
@@ -158,8 +160,6 @@ class _Fields:
         self.xbar = float(mean_position(t, params))
         self.xbar_rate = float(mean_position_rate(t, params))
         self.u = (x - self.xbar) / self.sigma
-        self.chi2 = np.exp(-self.u ** 2) / (np.sqrt(np.pi) * self.sigma)
-        self.chi_abs = np.sqrt(self.chi2)
         self.lnchi_x = -self.u / self.sigma
         self.lnchi_xx = np.full(grid.n, -1.0 / self.sigma ** 2)
 
@@ -197,16 +197,30 @@ class _Fields:
         )
         self.vector_potential_x = self.sigma_rate / (self.sigma * inertia)
 
-        # alpha = int_{x_min}^{x} (2A + w phi_x); drift part in closed form,
-        # localized front part by spectral antiderivative.
-        self.alpha = self._drift_phase(x) + grid.cumulative_integral(
-            self.w * self.phi_x, grid.x_min, method="spectral"
-        )
         self.alpha_x = 2.0 * self.vector_potential + self.w * self.phi_x
-        self.alpha_xx = 2.0 * self.vector_potential_x + self.w_x * self.phi_x + self.w * self.phi_xx
         self.alpha_t = self._drift_phase_rate(x) + grid.cumulative_integral(
             self.w_t * self.phi_x + self.w * self.phi_xt, grid.x_min, method="spectral"
         )
+
+    @cached_property
+    def chi2(self):
+        return np.exp(-self.u ** 2) / (np.sqrt(np.pi) * self.sigma)
+
+    @cached_property
+    def chi_abs(self):
+        return np.sqrt(self.chi2)
+
+    @cached_property
+    def alpha(self):
+        # alpha = int_{x_min}^{x} (2A + w phi_x); drift part in closed form,
+        # localized front part by spectral antiderivative.
+        return self._drift_phase(self.x) + self.grid.cumulative_integral(
+            self.w * self.phi_x, self.grid.x_min, method="spectral"
+        )
+
+    @cached_property
+    def alpha_xx(self):
+        return 2.0 * self.vector_potential_x + self.w_x * self.phi_x + self.w * self.phi_xx
 
     def _drift_phase(self, x):
         par = self.params

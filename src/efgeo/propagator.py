@@ -5,7 +5,8 @@ half-step (closed-form Pauli exponential), a full kinetic step applied in
 Fourier space, and a second potential half-step.  Every factor is unitary,
 so the norm is conserved to roundoff.  The potential entries are sampled at
 the step midpoint by default, which keeps the scheme second order for
-time-dependent entries.
+time-dependent entries; both half-steps then share one potential factor,
+built once per step (per-half-step sampling builds one per half-step).
 
 Double-precision FFT round trips carry a small systematic gain bias
 (measured around 2e-16 per step at n = 4096), which accumulates coherently
@@ -87,11 +88,13 @@ def model_h_provider(params, grid: Grid1D):
     return provider
 
 
-def _potential_half(psi1, psi2, h0, h1, h3, tau):
-    """Apply exp(-i tau (h0 I + h1 sigma_x + h3 sigma_z)) pointwise.
+def _potential_factor(h0, h1, h3, tau):
+    """Pointwise coefficients of exp(-i tau (h0 I + h1 sigma_x + h3 sigma_z)).
 
     Pauli closed form: exp(-i a I - i b.sigma) = e^{-ia}(cos|b| I
     - i sin|b| bhat.sigma), with the sin|b|/|b| limit handled explicitly.
+    Returns (e^{-ia}, upper diagonal, off diagonal, lower diagonal) of the
+    bracket, for _apply_potential.
     """
     b = tau * np.hypot(h1, h3)
     phase = np.exp(-1j * tau * h0)
@@ -100,8 +103,13 @@ def _potential_half(psi1, psi2, h0, h1, h3, tau):
     sinc = np.where(b != 0.0, np.sin(b) / safe, 1.0)
     diag = -1j * tau * h3 * sinc
     off = -1j * tau * h1 * sinc
-    new1 = phase * ((cosb + diag) * psi1 + off * psi2)
-    new2 = phase * (off * psi1 + (cosb - diag) * psi2)
+    return phase, cosb + diag, off, cosb - diag
+
+
+def _apply_potential(psi1, psi2, factor):
+    phase, upper, off, lower = factor
+    new1 = phase * (upper * psi1 + off * psi2)
+    new2 = phase * (off * psi1 + lower * psi2)
     return new1, new2
 
 
@@ -121,12 +129,12 @@ def _kinetic_full(psi1, psi2, phase):
 
 def _step_arrays(psi1, psi2, t, dt, h_provider, kin_phase, h_update):
     per_step = h_update == "per-step"
-    h = h_provider(t + (0.5 if per_step else 0.25) * dt)
-    psi1, psi2 = _potential_half(psi1, psi2, *h, 0.5 * dt)
+    factor = _potential_factor(*h_provider(t + (0.5 if per_step else 0.25) * dt), 0.5 * dt)
+    psi1, psi2 = _apply_potential(psi1, psi2, factor)
     psi1, psi2 = _kinetic_full(psi1, psi2, kin_phase)
-    if not per_step:
-        h = h_provider(t + 0.75 * dt)
-    return _potential_half(psi1, psi2, *h, 0.5 * dt)
+    if not per_step:  # per-step: both half-steps share h and tau, so one factor
+        factor = _potential_factor(*h_provider(t + 0.75 * dt), 0.5 * dt)
+    return _apply_potential(psi1, psi2, factor)
 
 
 def sample_steps(n_steps: int, n_samples: int) -> list:

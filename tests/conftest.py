@@ -1,5 +1,4 @@
 import pytest
-from periodic_states import make_periodic_state
 
 from efgeo.grid import Grid1D
 from efgeo.model import ModelParams
@@ -18,8 +17,3 @@ def grid4096():
 @pytest.fixture(scope="session")
 def grid1024():
     return Grid1D(-4.0, 6.0, 1024)
-
-
-@pytest.fixture
-def periodic_state_factory():
-    return make_periodic_state

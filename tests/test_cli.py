@@ -197,6 +197,7 @@ def _config(tmp_path, data):
 
 
 _SHORT_RUN = ["--n", "1024", "--dt", "1e-3", "--t-end", "0.002"]
+_OFF_PACKET = ["--x-min", "5", "--x-max", "6"]  # the packet starts at x = 0
 
 # one case per input defect that used to traceback or exit with the wrong code
 BAD_INPUTS = {
@@ -208,6 +209,7 @@ BAD_INPUTS = {
     "partial_last_step": lambda p: ["propagate", "--dt", "3e-4", "--t-end", "1e-3"],
     "no_figure_samples": lambda p: ["emit-figure", "--samples", "0"],
     "reversed_figure_range": lambda p: ["emit-figure", "--t-start", "2", "--t-end", "1"],
+    "reversed_identity_range": lambda p: ["verify-identity", "--t-start", "2", "--t-end", "1"],
     "no_propagate_samples": lambda p: ["propagate", *_SHORT_RUN, "--n-samples", "0"],
     "one_propagate_sample": lambda p: ["propagate", *_SHORT_RUN, "--n-samples", "1"],
     "huge_int_for_float": lambda p: ["verify-identity", *_config(p, {"inertia": 10 ** 400})],
@@ -217,6 +219,9 @@ BAD_INPUTS = {
     "infinite_mass": lambda p: ["verify-identity", *_config(p, {"mass": float("inf")})],
     "unresolved_heavy_packet": lambda p: ["verify-identity", "--mass", "1e308"],
     "unresolved_coarse_grid": lambda p: ["verify-identity", "--n", "64"],
+    "identity_domain_misses_packet": lambda p: ["verify-identity", *_OFF_PACKET],
+    "figure_domain_misses_packet": lambda p: ["emit-figure", *_OFF_PACKET],
+    "propagate_domain_misses_packet": lambda p: ["propagate", *_OFF_PACKET],
 }
 
 
@@ -229,6 +234,12 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_domain_message_names_the_edges_and_the_packet_centre(tmp_path, capsys):
+    assert run(["propagate", *_OFF_PACKET, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "x_min = 5.0, x_max = 6.0" in err and "centre 0 " in err
 
 
 def test_json_int_is_a_legal_float(tmp_path):

@@ -15,6 +15,20 @@ def test_grid_construction_and_points():
     assert np.all(np.diff(g.x) > 0)
 
 
+@pytest.mark.parametrize("name", ["x", "wavenumbers"])
+def test_coordinate_arrays_are_built_once_and_read_only(name):
+    g = Grid1D(-4.0, 6.0, 128)
+    arr = getattr(g, name)
+    assert getattr(g, name) is arr
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+    formula = {
+        "x": g.x_min + g.dx * np.arange(g.n),
+        "wavenumbers": 2.0 * np.pi * np.fft.fftfreq(g.n, g.dx),
+    }[name]
+    assert np.array_equal(arr, formula)
+
+
 def test_grid_rejects_small_n_and_bad_bounds():
     with pytest.raises(GridError):
         Grid1D(0.0, 1.0, 8)

@@ -145,6 +145,38 @@ class TestBlochFields:
             model.bloch_fields(0.0, coarse, params)
 
 
+class TestLazyFields:
+    def test_hamiltonian_entries_integrate_once(self, params, grid4096, monkeypatch):
+        calls = []
+        original = Grid1D.cumulative_integral
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Grid1D, "cumulative_integral", counted)
+        model.hamiltonian_entries(0.8, grid4096, params)
+        assert len(calls) == 1  # alpha_t; the phase alpha is never built
+
+    @pytest.mark.parametrize("t", [0.0, 0.8])
+    def test_lazy_fields_keep_the_eager_bits(self, params, grid4096, t):
+        f = model._Fields(t, grid4096, params)
+        x = grid4096.x
+        chi2 = np.exp(-f.u ** 2) / (np.sqrt(np.pi) * f.sigma)
+        eager = {
+            "chi2": chi2,
+            "chi_abs": np.sqrt(chi2),
+            "alpha": f._drift_phase(x) + grid4096.cumulative_integral(
+                f.w * f.phi_x, grid4096.x_min, method="spectral"
+            ),
+            "alpha_xx": 2.0 * f.vector_potential_x + f.w_x * f.phi_x + f.w * f.phi_xx,
+        }
+        for name, value in eager.items():
+            lazy = getattr(f, name)
+            assert np.array_equal(lazy, value), name
+            assert getattr(f, name) is lazy, name
+
+
 class TestHamiltonianEntries:
     @pytest.mark.parametrize("t", [0.0, 0.8])
     def test_equation_lines_close(self, params, grid4096, t):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efgeo import ef, model, propagator
 from efgeo.errors import AccuracyGuard, ConfigError, NumericalBlowup
@@ -8,6 +10,18 @@ from efgeo.errors import AccuracyGuard, ConfigError, NumericalBlowup
 def zero_h(grid):
     z = np.zeros(grid.n)
     return lambda t: (z, z, z)
+
+
+def half_step(psi1, psi2, h0, h1, h3, tau):
+    factor = propagator._potential_factor(h0, h1, h3, tau)
+    return propagator._apply_potential(psi1, psi2, factor)
+
+
+def eigh_exponential(h0, h1, h3, tau):
+    """exp(-i tau H) of H = [[h0 + h3, h1], [h1, h0 - h3]] through numpy.linalg.eigh."""
+    H = np.array([[h0 + h3, h1], [h1, h0 - h3]])
+    vals, vecs = np.linalg.eigh(H)
+    return vecs @ np.diag(np.exp(-1j * tau * vals)) @ vecs.conj().T
 
 
 class TestConfig:
@@ -32,7 +46,7 @@ class TestPotentialFactor:
         psi2 = rng.normal(size=grid1024.n) + 1j * rng.normal(size=grid1024.n)
         h0 = np.full(grid1024.n, 0.37)
         zeros = np.zeros(grid1024.n)
-        out1, out2 = propagator._potential_half(psi1, psi2, h0, zeros, zeros, 0.01)
+        out1, out2 = half_step(psi1, psi2, h0, zeros, zeros, 0.01)
         phase = np.exp(-0.01j * 0.37)
         assert np.max(np.abs(out1 - phase * psi1)) <= 1e-15
         assert np.max(np.abs(out2 - phase * psi2)) <= 1e-15
@@ -44,12 +58,9 @@ class TestPotentialFactor:
         tau = 0.013
         psi1 = rng.normal(size=40) + 1j * rng.normal(size=40)
         psi2 = rng.normal(size=40) + 1j * rng.normal(size=40)
-        out1, out2 = propagator._potential_half(psi1, psi2, h0, h1, h3, tau)
+        out1, out2 = half_step(psi1, psi2, h0, h1, h3, tau)
         for i in range(40):
-            H = np.array([[h0[i] + h3[i], h1[i]], [h1[i], h0[i] - h3[i]]])
-            vals, vecs = np.linalg.eigh(H)
-            U = vecs @ np.diag(np.exp(-1j * tau * vals)) @ vecs.conj().T
-            expected = U @ np.array([psi1[i], psi2[i]])
+            expected = eigh_exponential(h0[i], h1[i], h3[i], tau) @ np.array([psi1[i], psi2[i]])
             assert abs(out1[i] - expected[0]) <= 1e-14
             assert abs(out2[i] - expected[1]) <= 1e-14
 
@@ -58,10 +69,79 @@ class TestPotentialFactor:
         h0, h1, h3 = rng.normal(size=(3, grid1024.n))
         psi1 = rng.normal(size=grid1024.n) + 1j * rng.normal(size=grid1024.n)
         psi2 = rng.normal(size=grid1024.n) + 1j * rng.normal(size=grid1024.n)
-        out1, out2 = propagator._potential_half(psi1, psi2, h0, h1, h3, 0.02)
+        out1, out2 = half_step(psi1, psi2, h0, h1, h3, 0.02)
         before = np.abs(psi1) ** 2 + np.abs(psi2) ** 2
         after = np.abs(out1) ** 2 + np.abs(out2) ** 2
         assert np.max(np.abs(after - before)) <= 1e-13 * before.max()
+
+
+
+# entries and step sizes of the fixed-seed cases above; zero couplings
+# (|b| = 0, the sin|b|/|b| limit) drawn on purpose
+_ENTRY = st.floats(-5.0, 5.0)
+_COUPLING = st.one_of(st.just(0.0), _ENTRY)
+_TAU = st.one_of(st.just(0.0), st.floats(0.0, 0.05))
+_AMPLITUDE = st.complex_numbers(max_magnitude=3.0)
+
+
+class TestPotentialFactorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(h0=_ENTRY, h1=_COUPLING, h3=_COUPLING, tau=_TAU)
+    def test_unitary_pointwise(self, h0, h1, h3, tau):
+        phase, upper, off, lower = propagator._potential_factor(
+            np.array([h0]), np.array([h1]), np.array([h3]), tau
+        )
+        U = phase[0] * np.array([[upper[0], off[0]], [off[0], lower[0]]])
+        assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(h0=_ENTRY, h1=_COUPLING, h3=_COUPLING, tau=_TAU, psi1=_AMPLITUDE, psi2=_AMPLITUDE)
+    def test_matches_eigendecomposition_exponential(self, h0, h1, h3, tau, psi1, psi2):
+        out1, out2 = half_step(
+            np.array([psi1]), np.array([psi2]), np.array([h0]), np.array([h1]), np.array([h3]), tau
+        )
+        expected = eigh_exponential(h0, h1, h3, tau) @ np.array([psi1, psi2])
+        assert abs(out1[0] - expected[0]) <= 1e-14
+        assert abs(out2[0] - expected[1]) <= 1e-14
+
+
+def _old_potential_half(psi1, psi2, h0, h1, h3, tau):
+    """The potential half-step as one function that builds its own factor,
+    as every half-step did before the factor was shared."""
+    b = tau * np.hypot(h1, h3)
+    phase = np.exp(-1j * tau * h0)
+    cosb = np.cos(b)
+    safe = np.where(b != 0.0, b, 1.0)
+    sinc = np.where(b != 0.0, np.sin(b) / safe, 1.0)
+    diag = -1j * tau * h3 * sinc
+    off = -1j * tau * h1 * sinc
+    new1 = phase * ((cosb + diag) * psi1 + off * psi2)
+    new2 = phase * (off * psi1 + (cosb - diag) * psi2)
+    return new1, new2
+
+
+def _old_step_arrays(psi1, psi2, t, dt, h_provider, kin_phase, h_update):
+    per_step = h_update == "per-step"
+    h = h_provider(t + (0.5 if per_step else 0.25) * dt)
+    psi1, psi2 = _old_potential_half(psi1, psi2, *h, 0.5 * dt)
+    psi1, psi2 = propagator._kinetic_full(psi1, psi2, kin_phase)
+    if not per_step:
+        h = h_provider(t + 0.75 * dt)
+    return _old_potential_half(psi1, psi2, *h, 0.5 * dt)
+
+
+@pytest.mark.parametrize("h_update", ["per-step", "per-half-step"])
+@pytest.mark.parametrize("precision", ["extended", "double"])
+def test_step_keeps_the_bits_of_two_full_half_steps(params, grid1024, h_update, precision):
+    dt = 1e-3
+    provider = propagator.model_h_provider(params, grid1024)
+    kin_phase = propagator._kinetic_phase(grid1024, dt, params.inertia, precision)
+    state = model.assemble_psi(0.0, grid1024, params)
+    new = old = (state.psi1, state.psi2)
+    for step in range(5):
+        new = propagator._step_arrays(*new, step * dt, dt, provider, kin_phase, h_update)
+        old = _old_step_arrays(*old, step * dt, dt, provider, kin_phase, h_update)
+        assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 
 
 class TestFreeParticle:

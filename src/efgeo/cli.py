@@ -214,6 +214,7 @@ def _model_and_grid(cfg, times):
 
 def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
     times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
+    identity.check_settings(cfg["delta_t"], cfg["rel_tol"], cfg["method"], cfg["mutation"])
     # each sample also builds states at t +- delta_t and t +- 2 delta_t
     stencil = times[:, None] + cfg["delta_t"] * np.arange(-2, 3)
     params, grid = _model_and_grid(cfg, stencil.ravel())

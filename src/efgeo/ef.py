@@ -75,7 +75,6 @@ class EFDecomposition:
     d_tensor: np.ndarray      # Im of the same bracket; equals -g'/2
     mask: np.ndarray          # density above floor: tensors valid here
     extended: np.ndarray      # points where Phi is a frozen continuation
-    floor: float
     method: str
     inertia: float = None
     current: np.ndarray = None        # J = inertia * chi2 * A
@@ -167,25 +166,31 @@ def decompose(
         d_tensor=bracket.imag,
         mask=mask,
         extended=~support,
-        floor=float(floor),
         method=method,
         inertia=inertia,
         current=current,
     )
 
 
-def energies(dec: EFDecomposition, inertia: float = None) -> KineticPartition:
+def geometric_energy(dec: EFDecomposition) -> float:
+    """Geometric kinetic energy: inertia/2 times the integral of the marginal
+    density against the metric, over the support mask."""
+    if dec.inertia is None:
+        raise ConfigError("inertia required: decompose with inertia set")
+    weight = np.where(dec.mask, dec.chi2, 0.0)
+    return float(0.5 * dec.inertia * dec.grid.integrate(weight * dec.metric))
+
+
+def energies(dec: EFDecomposition) -> KineticPartition:
     """Kinetic partition (marginal, geometric, total).
 
     The total is computed independently of the factorization, from the
     spectral second derivative of psi, so that the partition identity
     total = marginal + geometric is a genuine cross-check.
     """
-    inertia = _resolve_inertia(dec, inertia)
-    grid = dec.grid
+    geometric = geometric_energy(dec)
+    inertia, grid = dec.inertia, dec.grid
     weight = np.where(dec.mask, dec.chi2, 0.0)
-    geometric = 0.5 * inertia * grid.integrate(weight * dec.metric)
-
     dchi = grid.derivative(dec.chi_abs, 1, dec.method)
     marginal = 0.5 * inertia * (
         grid.integrate(dchi ** 2) + grid.integrate(weight * dec.connection ** 2)
@@ -196,12 +201,4 @@ def energies(dec: EFDecomposition, inertia: float = None) -> KineticPartition:
     total = -0.5 * inertia * grid.integrate(
         np.real(np.conj(dec.psi1) * lap1 + np.conj(dec.psi2) * lap2)
     )
-    return KineticPartition(marginal=float(marginal), geometric=float(geometric), total=float(total))
-
-
-def _resolve_inertia(dec, inertia):
-    if inertia is None:
-        inertia = dec.inertia
-    if inertia is None:
-        raise ConfigError("inertia required: pass it or decompose with inertia set")
-    return inertia
+    return KineticPartition(marginal=float(marginal), geometric=geometric, total=float(total))

@@ -28,6 +28,8 @@ _D2_WINGS = {
     "fd8": (8 / 5, -1 / 5, 8 / 315, -1 / 560),
     "fd12": (12 / 7, -15 / 56, 10 / 189, -1 / 112, 2 / 1925, -1 / 16632),
 }
+# every method Grid1D.derivative accepts
+DERIVATIVE_METHODS = ("spectral", *_D1_COEFFS)
 
 
 def central_difference(f, coeffs, h, axis=-1, step=1):

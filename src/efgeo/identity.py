@@ -15,13 +15,13 @@ requires.  The verdict between them is decided numerically, never assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import ef, model
 from .errors import ConfigError, VerificationFailure
-from .grid import Grid1D, five_point
+from .grid import DERIVATIVE_METHODS, Grid1D, five_point
 
 MUTATIONS = ("flip_t1", "flip_t2", "flip_t3", "flip_t4", "drop_weight_t1")
 
@@ -138,59 +138,88 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
     return np.linspace(t_start, t_end, samples)
 
 
-def _decompose_at(params, grid, t, floor=None, method="fd12"):
+def check_settings(delta_t: float, rel_tol: float, method: str, mutation: str):
+    """Refuse settings with which verify cannot reach a verdict: a time step
+    or tolerance that is not positive, or an unknown method or mutation."""
+    if not delta_t > 0.0:
+        raise ConfigError(f"delta_t must be positive, got {delta_t}")
+    if not rel_tol > 0.0:
+        raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
+    if method not in DERIVATIVE_METHODS:
+        raise ConfigError(
+            f"unknown derivative method {method!r}; choose from {list(DERIVATIVE_METHODS)}"
+        )
+    _check_mutation(mutation)
+
+
+def _check_mutation(mutation):
+    if mutation is not None and mutation not in MUTATIONS:
+        raise ConfigError(f"unknown mutation {mutation!r}")
+
+
+def _decompose_at(params, grid, t, method="fd12"):
     psi = model.assemble_psi(t, grid, params)
-    return ef.decompose(psi, floor=floor, inertia=params.inertia, method=method)
+    return ef.decompose(psi, inertia=params.inertia, method=method)
 
 
 def _masked_integral(grid, values, mask):
     return grid.dx * float(np.sum(values[mask]))
 
 
-def t_geo_series(params, grid: Grid1D, times, floor=None, method="fd12") -> np.ndarray:
+def t_geo_series(params, grid: Grid1D, times, method="fd12") -> np.ndarray:
     """Geometric kinetic energy of the model state at each requested time."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty(times.size)
     for i, t in enumerate(times):
-        dec = _decompose_at(params, grid, t, floor, method)
-        out[i] = ef.energies(dec).geometric
+        out[i] = ef.geometric_energy(_decompose_at(params, grid, t, method))
     return out
 
 
-def lhs_rate(series, dt: float) -> np.ndarray:
-    """4th-order time derivative of a uniformly sampled series.
-
-    Interior points use the central 5-point stencil; the two points at each
-    end use one-sided / skewed stencils of the same order.
-    """
-    f = np.asarray(series, dtype=float)
-    if f.size < 5:
-        raise ConfigError("need at least 5 samples for the 4th-order rate")
-    out = np.empty_like(f)
-    out[2:-2] = five_point(f[:-4], f[1:-3], f[3:-1], f[4:], dt)
-    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * dt)
-    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * dt)
-    out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * dt)
-    out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * dt)
-    return out
-
-
-def _rate_local(params, grid, t, delta_t, floor=None, method="fd12") -> float:
+def _rate_local(params, grid, t, delta_t, method="fd12") -> float:
     """dT_geo/dt at one time from a 5-point central stencil around t."""
     vals = t_geo_series(
-        params, grid, [t - 2 * delta_t, t - delta_t, t + delta_t, t + 2 * delta_t], floor, method
+        params, grid, [t - 2 * delta_t, t - delta_t, t + delta_t, t + 2 * delta_t], method
     )
     return float(five_point(*vals, delta_t))
 
 
-def _gradient_sandwiches(dec, ham, method):
-    """Spatial gradient of the 2x2 potential and its matrix elements."""
-    grid = dec.grid
+def _potential_gradient(dec, ham):
+    """Spatial gradient of the 2x2 potential as its entries (up, off, dn)."""
+    grid, method = dec.grid, dec.method
     dh0 = grid.derivative(ham.h0, 1, method)
     dh1 = grid.derivative(ham.h1, 1, method)
     dh3 = grid.derivative(ham.h3, 1, method)
-    up, dn = dh0 + dh3, dh0 - dh3
+    return dh0 + dh3, dh1, dh0 - dh3
 
+
+def _force_density(dec, ham):
+    """Re <Phi| dH |(P - A)Phi>, the force density of the general form."""
+    up, dh1, dn = _potential_gradient(dec, ham)
+    return np.real(
+        np.conj(dec.phi1) * (up * dec.cov1 + dh1 * dec.cov2)
+        + np.conj(dec.phi2) * (dh1 * dec.cov1 + dn * dec.cov2)
+    )
+
+
+_SIGNS = {"flip_t1": (-1, 1, 1, 1), "flip_t2": (1, -1, 1, 1),
+          "flip_t3": (1, 1, -1, 1), "flip_t4": (1, 1, 1, -1)}
+
+
+def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None,
+              method: str = "fd12") -> dict:
+    """The four right-hand-side integrals at time t, as {"A": RhsTerms,
+    "B": RhsTerms}.
+
+    Both readings come from one decomposition and one set of derivatives:
+    reading B only weights the t2 and t4 integrands by the marginal density,
+    and reading A weights them by 1.0, which leaves every bit unchanged.
+    """
+    _check_mutation(mutation)
+    dec = _decompose_at(params, grid, t, method)
+    ham = model.hamiltonian_entries(t, grid, params)
+    I = params.inertia
+    mask = dec.mask
+    up, dh1, dn = _potential_gradient(dec, ham)
     # <Phi| dH |dPhi> (complex) and <Phi| dH |Phi> (real)
     sand_dphi = (
         np.conj(dec.phi1) * (up * dec.dphi1 + dh1 * dec.dphi2)
@@ -201,72 +230,36 @@ def _gradient_sandwiches(dec, ham, method):
         + dn * np.abs(dec.phi2) ** 2
         + 2.0 * dh1 * np.real(np.conj(dec.phi1) * dec.phi2)
     )
-    return sand_dphi, sand_pop, (up, dh1, dn)
 
-
-def _force_density(dec, ham, method):
-    """Re <Phi| dH |(P - A)Phi>, the force density of the general form."""
-    _, _, (up, dh1, dn) = _gradient_sandwiches(dec, ham, method)
-    return np.real(
-        np.conj(dec.phi1) * (up * dec.cov1 + dh1 * dec.cov2)
-        + np.conj(dec.phi2) * (dh1 * dec.cov1 + dn * dec.cov2)
-    )
-
-
-def rhs_terms(
-    params,
-    grid: Grid1D,
-    t: float,
-    reading: str = "B",
-    mutation: str = None,
-    floor=None,
-    method: str = "fd12",
-    dec=None,
-    ham=None,
-) -> RhsTerms:
-    """The four right-hand-side integrals at time t for one reading."""
-    if reading not in ("A", "B"):
-        raise ConfigError(f"reading must be 'A' or 'B', got {reading!r}")
-    if mutation is not None and mutation not in MUTATIONS:
-        raise ConfigError(f"unknown mutation {mutation!r}")
-    if dec is None:
-        dec = _decompose_at(params, grid, t, floor, method)
-    if ham is None:
-        ham = model.hamiltonian_entries(t, grid, params)
-    I = params.inertia
-    mask = dec.mask
-    sand_dphi, sand_pop, _ = _gradient_sandwiches(dec, ham, method)
-
-    w1 = dec.chi2 if mutation != "drop_weight_t1" else np.ones_like(dec.chi2)
-    w24 = dec.chi2 if reading == "B" else np.ones_like(dec.chi2)
-
-    t1 = -I * _masked_integral(grid, np.imag(sand_dphi) * w1, mask)
-    t2 = I * _masked_integral(grid, dec.connection * sand_pop * w24, mask)
+    t1_density = np.imag(sand_dphi)
+    if mutation != "drop_weight_t1":
+        t1_density = t1_density * dec.chi2
+    t1 = -I * _masked_integral(grid, t1_density, mask)
     flux = grid.derivative(dec.c_tensor * dec.chi2, 1, method)
     t3 = -0.5 * I * I * _masked_integral(grid, flux, mask)
-    dA = grid.derivative(dec.connection, 1, method)
-    t4 = -I * I * _masked_integral(grid, dec.metric * dA * w24, mask)
+    t2_density = dec.connection * sand_pop
+    t4_density = dec.metric * grid.derivative(dec.connection, 1, method)
 
-    signs = {"flip_t1": (-1, 1, 1, 1), "flip_t2": (1, -1, 1, 1),
-             "flip_t3": (1, 1, -1, 1), "flip_t4": (1, 1, 1, -1)}
-    s = signs.get(mutation, (1, 1, 1, 1))
-    return RhsTerms(t1=s[0] * t1, t2=s[1] * t2, t3=s[2] * t3, t4=s[3] * t4)
+    s = _SIGNS.get(mutation, (1, 1, 1, 1))
+    terms = {}
+    for reading, weight in (("A", 1.0), ("B", dec.chi2)):
+        t2 = I * _masked_integral(grid, t2_density * weight, mask)
+        t4 = -I * I * _masked_integral(grid, t4_density * weight, mask)
+        terms[reading] = RhsTerms(t1=s[0] * t1, t2=s[1] * t2, t3=s[2] * t3, t4=s[3] * t4)
+    return terms
 
 
-def rhs_general(params, grid: Grid1D, t: float, floor=None, method="fd12",
-                dec=None, ham=None) -> GeneralFormTerms:
+def rhs_general(params, grid: Grid1D, t: float, method="fd12") -> GeneralFormTerms:
     """Literal 1D specialization of the general identity (constant inertia).
 
     The Berry-curvature term vanishes identically in one dimension, which is
     asserted rather than computed.
     """
-    if dec is None:
-        dec = _decompose_at(params, grid, t, floor, method)
-    if ham is None:
-        ham = model.hamiltonian_entries(t, grid, params)
+    dec = _decompose_at(params, grid, t, method)
+    ham = model.hamiltonian_entries(t, grid, params)
     I = params.inertia
     mask = dec.mask
-    force = -I * _masked_integral(grid, dec.chi2 * _force_density(dec, ham, method), mask)
+    force = -I * _masked_integral(grid, dec.chi2 * _force_density(dec, ham), mask)
 
     curvature = 0.0  # B = dA/dx - dA/dx in a single dimension
 
@@ -278,19 +271,19 @@ def rhs_general(params, grid: Grid1D, t: float, floor=None, method="fd12",
 
 
 def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5,
-                    floor=None, method: str = "fd12") -> PointwiseReport:
+                    method: str = "fd12") -> PointwiseReport:
     """Pointwise residual of the local geometric energy-density equation.
 
     The left side differences the metric in time; the right side combines
     the force density, the rank-3 flux terms and the transport terms, all at
     the single time t.  Reported over the intersection of the masks used.
     """
-    decs = {dt_off: _decompose_at(params, grid, t + dt_off * delta_t, floor, method)
+    decs = {dt_off: _decompose_at(params, grid, t + dt_off * delta_t, method)
             for dt_off in (-2, -1, 0, 1, 2)}
     dec = decs[0]
     I = params.inertia
     ham = model.hamiltonian_entries(t, grid, params)
-    force_density = _force_density(dec, ham, method)
+    force_density = _force_density(dec, ham)
     D = lambda f: grid.derivative(f, 1, method)
     dlog_chi2 = np.divide(D(dec.chi2), dec.chi2, out=np.zeros_like(dec.chi2), where=dec.chi2 > 0)
     rhs = (
@@ -320,26 +313,25 @@ def verify(
     delta_t: float = 1e-4,
     rel_tol: float = 1e-3,
     mutation: str = None,
-    floor=None,
     method: str = "fd12",
 ) -> IdentityReport:
     """Evaluate both sides over a time range and adjudicate the readings.
 
-    Raises VerificationFailure (carrying the report) when neither reading
-    meets rel_tol in the max norm relative to the peak rate.
+    Raises ConfigError, before any evaluation, for settings that
+    check_settings refuses, and VerificationFailure (carrying the report)
+    when neither reading meets rel_tol in the max norm relative to the peak
+    rate.
     """
+    check_settings(delta_t, rel_tol, method, mutation)
     times = sample_times(t_start, t_end, samples)
     lhs = np.empty(samples)
     terms_a = np.empty((4, samples))
     terms_b = np.empty((4, samples))
     for i, t in enumerate(times):
-        lhs[i] = _rate_local(params, grid, t, delta_t, floor, method)
-        dec = _decompose_at(params, grid, t, floor, method)
-        ham = model.hamiltonian_entries(t, grid, params)
-        ta = rhs_terms(params, grid, t, "A", mutation, floor, method, dec=dec, ham=ham)
-        tb = rhs_terms(params, grid, t, "B", mutation, floor, method, dec=dec, ham=ham)
-        terms_a[:, i] = (ta.t1, ta.t2, ta.t3, ta.t4)
-        terms_b[:, i] = (tb.t1, tb.t2, tb.t3, tb.t4)
+        lhs[i] = _rate_local(params, grid, t, delta_t, method)
+        terms = rhs_terms(params, grid, t, mutation, method)
+        terms_a[:, i] = astuple(terms["A"])
+        terms_b[:, i] = astuple(terms["B"])
     report = IdentityReport(
         times=times, lhs=lhs, terms_a=terms_a, terms_b=terms_b,
         rel_tol=rel_tol, mutation=mutation,

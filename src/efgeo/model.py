@@ -144,8 +144,9 @@ class _Fields:
     Spatial derivatives are exact expressions; the gauge phase alpha and its
     time derivative integrate the exponentially localized front term with the
     spectral antiderivative (the smooth drift term is integrated in closed
-    form).  alpha, alpha_xx, chi2 and chi_abs are computed on first read:
-    the Hamiltonian entries need none of them.
+    form).  alpha, alpha_t, alpha_xx, chi2 and chi_abs are computed on first
+    read: the Hamiltonian entries need only alpha_t, and the state only
+    alpha and chi_abs.
     """
 
     def __init__(self, t: float, grid: Grid1D, params: ModelParams):
@@ -198,9 +199,6 @@ class _Fields:
         self.vector_potential_x = self.sigma_rate / (self.sigma * inertia)
 
         self.alpha_x = 2.0 * self.vector_potential + self.w * self.phi_x
-        self.alpha_t = self._drift_phase_rate(x) + grid.cumulative_integral(
-            self.w_t * self.phi_x + self.w * self.phi_xt, grid.x_min, method="spectral"
-        )
 
     @cached_property
     def chi2(self):
@@ -216,6 +214,12 @@ class _Fields:
         # localized front part by spectral antiderivative.
         return self._drift_phase(self.x) + self.grid.cumulative_integral(
             self.w * self.phi_x, self.grid.x_min, method="spectral"
+        )
+
+    @cached_property
+    def alpha_t(self):
+        return self._drift_phase_rate(self.x) + self.grid.cumulative_integral(
+            self.w_t * self.phi_x + self.w * self.phi_xt, self.grid.x_min, method="spectral"
         )
 
     @cached_property

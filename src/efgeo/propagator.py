@@ -238,7 +238,7 @@ def _record(state, ref, params, times, l2s, chi2s, ws, tgeos, t):
     ws.append(float(np.max(np.abs(w_num - w_ref) / rho_safe)))
     dec_num = ef.decompose(state, inertia=params.inertia)
     dec_ref = ef.decompose(ref, inertia=params.inertia)
-    tgeos.append(abs(ef.energies(dec_num).geometric - ef.energies(dec_ref).geometric))
+    tgeos.append(abs(ef.geometric_energy(dec_num) - ef.geometric_energy(dec_ref)))
     times.append(t)
 
 

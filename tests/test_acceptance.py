@@ -5,7 +5,10 @@ carry the same thresholds.  Expensive runs stay within the stated budgets
 on a single core.
 """
 
+import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +50,17 @@ def test_criterion_1_main_identity(params, grid4096):
     assert base <= 1e-3
     assert ratio >= 8.0
     assert elapsed <= 300.0
+
+    # the same run is the benchmark's identity workload at seed 0: hold its
+    # report to the benchmark's reference, read in place, at its tolerance
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import checks
+
+    reference = json.loads((checks.REFERENCE / "identity" / "report.json").read_text())
+    got = json.loads(json.dumps(rep.to_dict()))
+    assert checks.json_mismatches(got, reference, checks.REPORT_REL_TOL) == []
 
 
 def test_criterion_2_kinetic_partition(params, grid4096):

@@ -222,6 +222,10 @@ BAD_INPUTS = {
     "identity_domain_misses_packet": lambda p: ["verify-identity", *_OFF_PACKET],
     "figure_domain_misses_packet": lambda p: ["emit-figure", *_OFF_PACKET],
     "propagate_domain_misses_packet": lambda p: ["propagate", *_OFF_PACKET],
+    "unknown_method": lambda p: ["verify-identity", "--method", "foo"],
+    "unknown_mutation": lambda p: ["verify-identity", "--mutation", "foo"],
+    "zero_delta_t": lambda p: ["verify-identity", "--delta-t", "0"],
+    "zero_rel_tol": lambda p: ["verify-identity", "--rel-tol", "0"],
 }
 
 

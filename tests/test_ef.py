@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodic_states import make_periodic_state, regauged, smooth_gauge
 from efgeo import ef, model
@@ -309,3 +311,28 @@ class TestGaugeTransformations:
         assert np.max(np.abs(shifted.metric - base.metric)) <= 1e-8
         assert np.max(np.abs(shifted.c_tensor - base.c_tensor)) <= 1e-8
         assert np.max(np.abs(shifted.d_tensor - base.d_tensor)) <= 1e-8
+
+
+# random periodic states: every seed draws its amplitudes and phases from the
+# same bounded ranges, so the roundoff-level bounds below hold for any seed
+_SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+class TestRandomStateProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_SEEDS, winding=st.sampled_from([0, 1]))
+    def test_kinetic_partition(self, grid1024, seed, winding):
+        state, _ = make_periodic_state(grid1024, seed=seed, winding=winding)
+        en = ef.energies(ef.decompose(state, inertia=0.1, method="spectral"))
+        assert abs(en.total - en.marginal - en.geometric) <= 1e-8 * en.total
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_SEEDS, gauge_seed=_SEEDS, winding=st.sampled_from([0, 1]))
+    def test_gauge_covariance(self, grid1024, seed, gauge_seed, winding):
+        state, _ = make_periodic_state(grid1024, seed=seed, winding=winding)
+        theta, theta_x = smooth_gauge(grid1024, seed=gauge_seed)
+        base = ef.decompose(state, method="spectral")
+        shifted = ef.decompose(regauged(state, theta), method="spectral")
+        for name in ("metric", "c_tensor", "d_tensor"):
+            assert np.max(np.abs(getattr(shifted, name) - getattr(base, name))) <= 1e-8, name
+        assert np.max(np.abs(shifted.connection - base.connection - theta_x)) <= 1e-9

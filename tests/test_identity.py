@@ -1,7 +1,9 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from efgeo import identity
+from efgeo import ef, identity, model
 from efgeo.errors import ConfigError, VerificationFailure
 from efgeo.grid import Grid1D
 
@@ -21,24 +23,6 @@ class TestGeometricEnergySeries:
 
 
 class TestLhsRate:
-    def test_constant_series(self):
-        assert np.max(np.abs(identity.lhs_rate(np.full(9, 3.3), 0.1))) <= 1e-12
-
-    def test_linear_ramp_exact(self):
-        t = 0.05 * np.arange(12)
-        rate = identity.lhs_rate(2.5 * t, 0.05)
-        assert np.max(np.abs(rate - 2.5)) <= 1e-11
-
-    def test_quartic_exact(self):
-        # 4th-order stencils differentiate polynomials up to degree 4 exactly
-        t = 0.1 * np.arange(15)
-        rate = identity.lhs_rate(t ** 4, 0.1)
-        assert np.max(np.abs(rate - 4.0 * t ** 3)) <= 1e-10
-
-    def test_too_few_points(self):
-        with pytest.raises(ConfigError):
-            identity.lhs_rate(np.ones(4), 0.1)
-
     @pytest.mark.parametrize("t", [0.5, 1.5])
     def test_step_size_self_consistency(self, params, grid4096, t):
         coarse = identity._rate_local(params, grid4096, t, 1e-3)
@@ -49,31 +33,107 @@ class TestLhsRate:
 class TestRhsTerms:
     @pytest.mark.parametrize("t", [0.3, 2.1])
     def test_flux_term_is_negligible(self, params, grid4096, t):
-        terms = identity.rhs_terms(params, grid4096, t, "B")
+        terms = identity.rhs_terms(params, grid4096, t)["B"]
         assert abs(terms.t3) <= 1e-10
 
     def test_reading_b_matches_rate(self, params, grid4096):
         t = 1.6
         lhs = identity._rate_local(params, grid4096, t, 1e-4)
-        total_b = identity.rhs_terms(params, grid4096, t, "B").total
-        total_a = identity.rhs_terms(params, grid4096, t, "A").total
+        terms = identity.rhs_terms(params, grid4096, t)
+        total_a, total_b = terms["A"].total, terms["B"].total
         assert abs(lhs - total_b) <= 1e-9 * max(1.0, abs(lhs))
         assert abs(lhs - total_a) > 1e3 * abs(lhs - total_b)
 
-    def test_unknown_reading_and_mutation(self, params, grid4096):
+    def test_unknown_mutation(self, params, grid4096):
         with pytest.raises(ConfigError):
-            identity.rhs_terms(params, grid4096, 0.5, "C")
-        with pytest.raises(ConfigError):
-            identity.rhs_terms(params, grid4096, 0.5, "B", mutation="flip_t9")
+            identity.rhs_terms(params, grid4096, 0.5, mutation="flip_t9")
 
     @pytest.mark.parametrize("t", [0.4, 1.0, 3.0])
     def test_general_form_agrees_with_model_form(self, params, grid4096, t):
-        terms = identity.rhs_terms(params, grid4096, t, "B")
+        terms = identity.rhs_terms(params, grid4096, t)["B"]
         gen = identity.rhs_general(params, grid4096, t)
         scale = max(1.0, abs(gen.force), abs(gen.transport))
         assert gen.curvature == 0.0
         assert abs(gen.force - (terms.t1 + terms.t2)) <= 1e-12 * scale
         assert abs(gen.transport - terms.t4) <= 1e-12 * scale
+
+
+def _old_rhs_terms(params, grid, t, reading, mutation):
+    """rhs_terms as it was when each call evaluated one reading: every
+    derivative taken again per reading, and arrays of ones as the unit weight."""
+    dec = ef.decompose(model.assemble_psi(t, grid, params), inertia=params.inertia, method="fd12")
+    ham = model.hamiltonian_entries(t, grid, params)
+    dh0 = grid.derivative(ham.h0, 1, "fd12")
+    dh1 = grid.derivative(ham.h1, 1, "fd12")
+    dh3 = grid.derivative(ham.h3, 1, "fd12")
+    up, dn = dh0 + dh3, dh0 - dh3
+    sand_dphi = (
+        np.conj(dec.phi1) * (up * dec.dphi1 + dh1 * dec.dphi2)
+        + np.conj(dec.phi2) * (dh1 * dec.dphi1 + dn * dec.dphi2)
+    )
+    sand_pop = (
+        up * np.abs(dec.phi1) ** 2
+        + dn * np.abs(dec.phi2) ** 2
+        + 2.0 * dh1 * np.real(np.conj(dec.phi1) * dec.phi2)
+    )
+    w1 = dec.chi2 if mutation != "drop_weight_t1" else np.ones_like(dec.chi2)
+    w24 = dec.chi2 if reading == "B" else np.ones_like(dec.chi2)
+    I = params.inertia
+
+    def integral(values):
+        return grid.dx * float(np.sum(values[dec.mask]))
+
+    t1 = -I * integral(np.imag(sand_dphi) * w1)
+    t2 = I * integral(dec.connection * sand_pop * w24)
+    t3 = -0.5 * I * I * integral(grid.derivative(dec.c_tensor * dec.chi2, 1, "fd12"))
+    dA = grid.derivative(dec.connection, 1, "fd12")
+    t4 = -I * I * integral(dec.metric * dA * w24)
+    signs = {"flip_t1": (-1, 1, 1, 1), "flip_t2": (1, -1, 1, 1),
+             "flip_t3": (1, 1, -1, 1), "flip_t4": (1, 1, 1, -1)}
+    s = signs.get(mutation, (1, 1, 1, 1))
+    return (s[0] * t1, s[1] * t2, s[2] * t3, s[3] * t4)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("mutation", [None, *identity.MUTATIONS])
+    def test_readings_keep_the_per_reading_bits(self, params, grid4096, mutation):
+        terms = identity.rhs_terms(params, grid4096, 0.7, mutation)
+        for reading in ("A", "B"):
+            old = _old_rhs_terms(params, grid4096, 0.7, reading, mutation)
+            assert np.array_equal(astuple(terms[reading]), old), reading
+
+    def test_verify_evaluates_each_sample_once(self, params, grid1024, monkeypatch):
+        derivative = _count_calls(monkeypatch, Grid1D, "derivative")
+        rhs = _count_calls(monkeypatch, identity, "rhs_terms")
+        k = 3
+        identity.verify(params, grid1024, 0.0, 0.5, samples=k, delta_t=4e-4, rel_tol=1.0)
+        # per sample: 5 decompositions of 4 derivatives each, then the
+        # potential gradient (3), the flux and dA/dx
+        assert len(derivative) == 25 * k
+        assert len(rhs) == k
+
+    def test_t_geo_series_differentiates_only_to_decompose(self, params, grid1024, monkeypatch):
+        derivative = _count_calls(monkeypatch, Grid1D, "derivative")
+        energies = _count_calls(monkeypatch, ef, "energies")
+        ef.decompose(model.assemble_psi(0.3, grid1024, params), inertia=params.inertia)
+        per_decomposition = len(derivative)
+        times = [0.1, 0.2, 0.3]
+        identity.t_geo_series(params, grid1024, times)
+        assert len(derivative) == (1 + len(times)) * per_decomposition
+        assert energies == []
 
 
 class TestPointwiseBalance:
@@ -98,6 +158,12 @@ class TestVerify:
     def test_single_point_range_rejected(self, params, grid4096):
         with pytest.raises(ConfigError):
             identity.verify(params, grid4096, 1.0, 1.0, samples=1)
+
+    @pytest.mark.parametrize("bad", [{"delta_t": 0.0}, {"rel_tol": 0.0},
+                                     {"method": "fd5"}, {"mutation": "flip_t9"}])
+    def test_unusable_settings_rejected(self, params, grid4096, bad):
+        with pytest.raises(ConfigError):
+            identity.verify(params, grid4096, **bad)
 
     def test_sign_flip_mutation_fails(self, params):
         grid = Grid1D(-4.0, 6.0, 2048)
@@ -137,8 +203,6 @@ class TestTrivialFamily:
     def test_static_single_surface_balance_is_zero(self, grid1024):
         # static gaussian with a position-independent spinor under zero
         # potential: every term of the pointwise balance vanishes
-        from efgeo import ef
-
         grid = grid1024
         chi = np.exp(-((grid.x - 0.5) ** 2) / (2.0 * 0.49))
         chi = chi / np.sqrt(grid.integrate(chi ** 2))

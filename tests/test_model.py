@@ -145,18 +145,28 @@ class TestBlochFields:
             model.bloch_fields(0.0, coarse, params)
 
 
+def _count_cumulative_integrals(monkeypatch):
+    calls = []
+    original = Grid1D.cumulative_integral
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Grid1D, "cumulative_integral", counted)
+    return calls
+
+
 class TestLazyFields:
     def test_hamiltonian_entries_integrate_once(self, params, grid4096, monkeypatch):
-        calls = []
-        original = Grid1D.cumulative_integral
-
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Grid1D, "cumulative_integral", counted)
+        calls = _count_cumulative_integrals(monkeypatch)
         model.hamiltonian_entries(0.8, grid4096, params)
         assert len(calls) == 1  # alpha_t; the phase alpha is never built
+
+    def test_assemble_psi_integrates_once(self, params, grid4096, monkeypatch):
+        calls = _count_cumulative_integrals(monkeypatch)
+        model.assemble_psi(0.8, grid4096, params)
+        assert len(calls) == 1  # alpha; its rate alpha_t is never built
 
     @pytest.mark.parametrize("t", [0.0, 0.8])
     def test_lazy_fields_keep_the_eager_bits(self, params, grid4096, t):
@@ -168,6 +178,9 @@ class TestLazyFields:
             "chi_abs": np.sqrt(chi2),
             "alpha": f._drift_phase(x) + grid4096.cumulative_integral(
                 f.w * f.phi_x, grid4096.x_min, method="spectral"
+            ),
+            "alpha_t": f._drift_phase_rate(x) + grid4096.cumulative_integral(
+                f.w_t * f.phi_x + f.w * f.phi_xt, grid4096.x_min, method="spectral"
             ),
             "alpha_xx": 2.0 * f.vector_potential_x + f.w_x * f.phi_x + f.w * f.phi_xx,
         }

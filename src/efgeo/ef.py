@@ -16,6 +16,7 @@ remains available for genuinely periodic states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +58,12 @@ class TwoComponentWavefunction:
 
 @dataclass(frozen=True)
 class EFDecomposition:
-    """Marginal density, conditional spinor and geometric fields of a state."""
+    """Marginal density, conditional spinor and geometric fields of a state.
+
+    The rank-3 bracket and its parts c_tensor (Re) and d_tensor (Im) are
+    computed on first read and cached; the metric alone costs two
+    derivatives, the bracket two more.
+    """
 
     grid: Grid1D
     psi1: np.ndarray
@@ -71,8 +77,6 @@ class EFDecomposition:
     cov2: np.ndarray
     connection: np.ndarray    # A = Im <Phi| dPhi/dx>
     metric: np.ndarray        # g = <(P-A)Phi|(P-A)Phi>, non-negative
-    c_tensor: np.ndarray      # Re <(P-A)Phi|(P-A)(P-A)Phi>
-    d_tensor: np.ndarray      # Im of the same bracket; equals -g'/2
     mask: np.ndarray          # density above floor: tensors valid here
     extended: np.ndarray      # points where Phi is a frozen continuation
     method: str
@@ -83,6 +87,26 @@ class EFDecomposition:
     def chi_abs(self) -> np.ndarray:
         return np.sqrt(self.chi2)
 
+    @cached_property
+    def bracket(self) -> np.ndarray:
+        """<(P-A)Phi|(P-A)(P-A)Phi>: only the rate of the geometric energy
+        reads it."""
+        grid, A, method = self.grid, self.connection, self.method
+        g1, g2 = self.cov1, self.cov2
+        h1 = -1j * grid.derivative(g1, 1, method) - A * g1
+        h2 = -1j * grid.derivative(g2, 1, method) - A * g2
+        return np.conj(g1) * h1 + np.conj(g2) * h2
+
+    @property
+    def c_tensor(self) -> np.ndarray:
+        """Re of the rank-3 bracket."""
+        return self.bracket.real
+
+    @property
+    def d_tensor(self) -> np.ndarray:
+        """Im of the rank-3 bracket; equals -g'/2."""
+        return self.bracket.imag
+
 
 class KineticPartition(NamedTuple):
     marginal: float
@@ -90,20 +114,16 @@ class KineticPartition(NamedTuple):
     total: float
 
 
-def _nearest_fill(values: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Replace unsupported entries by the value at the nearest supported index."""
-    if support.all():
-        return values
-    idx = np.arange(values.size)
+def _nearest_fill(support: np.ndarray) -> np.ndarray:
+    """Index of the nearest supported point for every point: the point itself
+    where supported, so one gather fills every field that shares the support."""
+    idx = np.arange(support.size)
     good = idx[support]
     pos = np.searchsorted(good, idx)
     pos = np.clip(pos, 0, good.size - 1)
     left = good[np.maximum(pos - 1, 0)]
     right = good[pos]
-    nearest = np.where(np.abs(idx - left) <= np.abs(right - idx), left, right)
-    out = values.copy()
-    out[~support] = values[nearest[~support]]
-    return out
+    return np.where(np.abs(idx - left) <= np.abs(right - idx), left, right)
 
 
 def decompose(
@@ -132,20 +152,18 @@ def decompose(
 
     support = chi2 > floor * EXTENSION_RATIO
     chi_safe = np.where(support, np.sqrt(chi2), 1.0)
-    phi1 = _nearest_fill(np.where(support, psi.psi1 / chi_safe, 0.0), support)
-    phi2 = _nearest_fill(np.where(support, psi.psi2 / chi_safe, 0.0), support)
+    nearest = _nearest_fill(support)
+    phi1 = (psi.psi1 / chi_safe)[nearest]
+    phi2 = (psi.psi2 / chi_safe)[nearest]
 
     d1 = grid.derivative(phi1, 1, method)
     d2 = grid.derivative(phi2, 1, method)
     A = np.imag(np.conj(phi1) * d1 + np.conj(phi2) * d2)
 
-    # covariant derivative field (P - A)Phi and one more application of it
+    # covariant derivative field (P - A)Phi; the bracket applies it once more
     g1 = -1j * d1 - A * phi1
     g2 = -1j * d2 - A * phi2
     metric = np.abs(g1) ** 2 + np.abs(g2) ** 2
-    h1 = -1j * grid.derivative(g1, 1, method) - A * g1
-    h2 = -1j * grid.derivative(g2, 1, method) - A * g2
-    bracket = np.conj(g1) * h1 + np.conj(g2) * h2
 
     current = None if inertia is None else inertia * chi2 * A
 
@@ -162,8 +180,6 @@ def decompose(
         cov2=g2,
         connection=A,
         metric=metric,
-        c_tensor=bracket.real,
-        d_tensor=bracket.imag,
         mask=mask,
         extended=~support,
         method=method,

@@ -249,13 +249,13 @@ def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None,
     return terms
 
 
-def rhs_general(params, grid: Grid1D, t: float, method="fd12") -> GeneralFormTerms:
+def rhs_general(params, grid: Grid1D, t: float) -> GeneralFormTerms:
     """Literal 1D specialization of the general identity (constant inertia).
 
     The Berry-curvature term vanishes identically in one dimension, which is
     asserted rather than computed.
     """
-    dec = _decompose_at(params, grid, t, method)
+    dec = _decompose_at(params, grid, t)
     ham = model.hamiltonian_entries(t, grid, params)
     I = params.inertia
     mask = dec.mask
@@ -265,26 +265,25 @@ def rhs_general(params, grid: Grid1D, t: float, method="fd12") -> GeneralFormTer
 
     ratio = np.divide(dec.current, dec.chi2, out=np.zeros_like(dec.chi2), where=dec.chi2 > 0)
     transport = -I * _masked_integral(
-        grid, dec.chi2 * dec.metric * grid.derivative(ratio, 1, method), mask
+        grid, dec.chi2 * dec.metric * grid.derivative(ratio, 1, dec.method), mask
     )
     return GeneralFormTerms(force=force, curvature=curvature, transport=transport)
 
 
-def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5,
-                    method: str = "fd12") -> PointwiseReport:
+def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5) -> PointwiseReport:
     """Pointwise residual of the local geometric energy-density equation.
 
     The left side differences the metric in time; the right side combines
     the force density, the rank-3 flux terms and the transport terms, all at
     the single time t.  Reported over the intersection of the masks used.
     """
-    decs = {dt_off: _decompose_at(params, grid, t + dt_off * delta_t, method)
+    decs = {dt_off: _decompose_at(params, grid, t + dt_off * delta_t)
             for dt_off in (-2, -1, 0, 1, 2)}
     dec = decs[0]
     I = params.inertia
     ham = model.hamiltonian_entries(t, grid, params)
     force_density = _force_density(dec, ham)
-    D = lambda f: grid.derivative(f, 1, method)
+    D = lambda f: grid.derivative(f, 1, dec.method)
     dlog_chi2 = np.divide(D(dec.chi2), dec.chi2, out=np.zeros_like(dec.chi2), where=dec.chi2 > 0)
     rhs = (
         -I * force_density

@@ -144,13 +144,17 @@ class _Fields:
     Spatial derivatives are exact expressions; the gauge phase alpha and its
     time derivative integrate the exponentially localized front term with the
     spectral antiderivative (the smooth drift term is integrated in closed
-    form).  alpha, alpha_t, alpha_xx, chi2 and chi_abs are computed on first
-    read: the Hamiltonian entries need only alpha_t, and the state only
-    alpha and chi_abs.
+    form).  Besides the packet scalars, the constructor builds only the
+    arrays the state reads: u, w, phi, phi_x and the front terms r and s
+    (with their scalars gp, amp, p, q).  Every other field is computed on
+    first read and cached: chi2, chi_abs and alpha for the state; w_x, w_xx,
+    phi_xx, w_t, s_t, phi_t, phi_xt, lnchi_x, lnchi_xx,
+    vector_potential, alpha_x and alpha_t for the Hamiltonian entries;
+    alpha_xx for the tests.
     """
 
     def __init__(self, t: float, grid: Grid1D, params: ModelParams):
-        eta, gamma, inertia = params.eta, params.gamma, params.inertia
+        eta, gamma = params.eta, params.gamma
         self.x = x = grid.x
         self.t = float(t)
         self.grid = grid
@@ -161,10 +165,8 @@ class _Fields:
         self.xbar = float(mean_position(t, params))
         self.xbar_rate = float(mean_position_rate(t, params))
         self.u = (x - self.xbar) / self.sigma
-        self.lnchi_x = -self.u / self.sigma
-        self.lnchi_xx = np.full(grid.n, -1.0 / self.sigma ** 2)
 
-        gp = gamma * (1.0 + eta * t)  # instantaneous front steepness
+        self.gp = gp = gamma * (1.0 + eta * t)  # instantaneous front steepness
         if 1.0 / (gp * grid.dx) < 10.0:
             # static message so repeated warnings deduplicate per call site
             warnings.warn(
@@ -174,31 +176,67 @@ class _Fields:
             )
         xi = np.clip(gp * (x - 1.0), -_CLIP, _CLIP)
         E = np.exp(xi)
-        p, q = 1.0 + t, 1.0 + 3.0 * t
-        r = p / (p + E)
-        s = q / (q + E)
-        amp = 1.0 - 2.0 * eta
+        self.p = p = 1.0 + t
+        self.q = q = 1.0 + 3.0 * t
+        self.r = r = p / (p + E)
+        self.s = s = q / (q + E)
+        self.amp = amp = 1.0 - 2.0 * eta
 
         self.w = eta + amp * r
-        self.w_x = -amp * gp * r * (1.0 - r)
-        self.w_xx = amp * gp ** 2 * r * (1.0 - r) * (1.0 - 2.0 * r)
         self.phi = -eta - amp * s
         self.phi_x = amp * gp * s * (1.0 - s)
-        self.phi_xx = -amp * gp ** 2 * s * (1.0 - s) * (1.0 - 2.0 * s)
+        self.vector_potential_x = self.sigma_rate / (self.sigma * params.inertia)
 
-        xi_t = gamma * eta * (x - 1.0)
-        r_t = r * (1.0 - r) * (1.0 / p - xi_t)
-        s_t = s * (1.0 - s) * (3.0 / q - xi_t)
-        self.w_t = amp * r_t
-        self.phi_t = -amp * s_t
-        self.phi_xt = amp * (gamma * eta * s * (1.0 - s) + gp * (1.0 - 2.0 * s) * s_t)
+    @cached_property
+    def w_x(self):
+        return -self.amp * self.gp * self.r * (1.0 - self.r)
 
-        self.vector_potential = _potential_from_rates(
-            self.u, self.xbar_rate, self.sigma_rate, inertia
-        )
-        self.vector_potential_x = self.sigma_rate / (self.sigma * inertia)
+    @cached_property
+    def w_xx(self):
+        r = self.r
+        return self.amp * self.gp ** 2 * r * (1.0 - r) * (1.0 - 2.0 * r)
 
-        self.alpha_x = 2.0 * self.vector_potential + self.w * self.phi_x
+    @cached_property
+    def phi_xx(self):
+        s = self.s
+        return -self.amp * self.gp ** 2 * s * (1.0 - s) * (1.0 - 2.0 * s)
+
+    @cached_property
+    def _xi_t(self):
+        return self.params.gamma * self.params.eta * (self.x - 1.0)
+
+    @cached_property
+    def s_t(self):
+        return self.s * (1.0 - self.s) * (3.0 / self.q - self._xi_t)
+
+    @cached_property
+    def w_t(self):
+        return self.amp * (self.r * (1.0 - self.r) * (1.0 / self.p - self._xi_t))
+
+    @cached_property
+    def phi_t(self):
+        return -self.amp * self.s_t
+
+    @cached_property
+    def phi_xt(self):
+        s, par = self.s, self.params
+        return self.amp * (par.gamma * par.eta * s * (1.0 - s) + self.gp * (1.0 - 2.0 * s) * self.s_t)
+
+    @cached_property
+    def lnchi_x(self):
+        return -self.u / self.sigma
+
+    @cached_property
+    def lnchi_xx(self):
+        return np.full(self.grid.n, -1.0 / self.sigma ** 2)
+
+    @cached_property
+    def vector_potential(self):
+        return _potential_from_rates(self.u, self.xbar_rate, self.sigma_rate, self.params.inertia)
+
+    @cached_property
+    def alpha_x(self):
+        return 2.0 * self.vector_potential + self.w * self.phi_x
 
     @cached_property
     def chi2(self):

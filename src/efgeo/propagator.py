@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _sfft
 
 from . import ef, model
 from .errors import AccuracyGuard, ConfigError, NumericalBlowup
@@ -122,7 +121,11 @@ def _kinetic_phase(grid, dt, inertia, precision):
 
 def _kinetic_full(psi1, psi2, phase):
     if phase.dtype == np.clongdouble:
-        extended = lambda p: _sfft.ifft(phase * _sfft.fft(p.astype(np.clongdouble))).astype(complex)
+        # imported on first use: only this step needs scipy, whose import
+        # is most of the package's import time (numpy.fft is slower here)
+        import scipy.fft as sfft
+
+        extended = lambda p: sfft.ifft(phase * sfft.fft(p.astype(np.clongdouble))).astype(complex)
         return extended(psi1), extended(psi2)
     return np.fft.ifft(phase * np.fft.fft(psi1)), np.fft.ifft(phase * np.fft.fft(psi2))
 

@@ -1,5 +1,6 @@
 import pytest
 
+from efgeo import propagator
 from efgeo.grid import Grid1D
 from efgeo.model import ModelParams
 
@@ -17,3 +18,10 @@ def grid4096():
 @pytest.fixture(scope="session")
 def grid1024():
     return Grid1D(-4.0, 6.0, 1024)
+
+
+@pytest.fixture(scope="session")
+def convergence_study(params, grid4096):
+    """Final-time L2 errors and fitted order of the model propagation at
+    three step sizes, run once for every test that reads it."""
+    return propagator.convergence_order(params, grid4096, (8e-4, 4e-4, 2e-4), t_end=0.5)

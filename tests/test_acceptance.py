@@ -146,13 +146,12 @@ def test_criterion_5_continuity_and_gauge(params, grid4096, grid1024):
     assert worst_shift <= 1e-9
 
 
-def test_criterion_6_propagator_cross_check(params, grid4096):
+def test_criterion_6_propagator_cross_check(params, grid4096, convergence_study):
     cfg = propagator.PropagatorConfig(dt=1e-4, t_end=2.0)
     res = propagator.propagate(params, grid4096, cfg, n_samples=5)
     l2 = float(np.max(res.l2_errors))
 
-    study = propagator.convergence_order(params, grid4096, (8e-4, 4e-4, 2e-4), t_end=0.5)
-    order = study["order"]
+    order = convergence_study["order"]
 
     ok = l2 <= 1e-3 and 1.8 <= order <= 2.2 and res.norm_drift <= 1e-12
     report(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from periodic_states import make_periodic_state, regauged, smooth_gauge
 from efgeo import ef, model
 from efgeo.errors import ConfigError, DegenerateState, InvalidField
+from efgeo.grid import Grid1D
 
 
 def closed_form_tensors(t, grid, params):
@@ -237,6 +238,46 @@ class TestRankThreeTensors:
         m = dec.mask
         assert np.max(np.abs(dec.c_tensor[m])) <= 1e-12
         assert np.max(np.abs(dec.d_tensor[m])) <= 1e-12
+
+
+def _eager_bracket(dec):
+    """Reference: the rank-3 bracket built eagerly, (P - A)Phi from dPhi and
+    then once more, in the operation order the lazy bracket must keep."""
+    grid, A, method = dec.grid, dec.connection, dec.method
+    g1 = -1j * dec.dphi1 - A * dec.phi1
+    g2 = -1j * dec.dphi2 - A * dec.phi2
+    h1 = -1j * grid.derivative(g1, 1, method) - A * g1
+    h2 = -1j * grid.derivative(g2, 1, method) - A * g2
+    return np.conj(g1) * h1 + np.conj(g2) * h2
+
+
+class TestLazyBracket:
+    @pytest.mark.parametrize("first", ["c_tensor", "d_tensor"])
+    @pytest.mark.parametrize("method", ["fd12", "spectral"])
+    def test_bracket_is_built_once_on_first_read(self, params, grid1024, monkeypatch,
+                                                 first, method):
+        state = model.assemble_psi(0.7, grid1024, params)
+        calls = []
+        original = Grid1D.derivative
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Grid1D, "derivative", counted)
+        dec = ef.decompose(state, inertia=params.inertia, method=method)
+        assert len(calls) == 2
+        ef.geometric_energy(dec)
+        assert len(calls) == 2
+        getattr(dec, first)
+        assert len(calls) == 4
+        c, d = dec.c_tensor, dec.d_tensor
+        assert len(calls) == 4
+        monkeypatch.undo()
+
+        eager = _eager_bracket(dec)
+        assert np.array_equal(c, eager.real)
+        assert np.array_equal(d, eager.imag)
 
 
 class TestEnergies:

@@ -120,9 +120,10 @@ class TestOnePass:
         rhs = _count_calls(monkeypatch, identity, "rhs_terms")
         k = 3
         identity.verify(params, grid1024, 0.0, 0.5, samples=k, delta_t=4e-4, rel_tol=1.0)
-        # per sample: 5 decompositions of 4 derivatives each, then the
-        # potential gradient (3), the flux and dA/dx
-        assert len(derivative) == 25 * k
+        # per sample: 4 decompositions for the rate, which read only the
+        # metric (2 derivatives each), 1 whose rank-3 bracket is also read
+        # (4), then the potential gradient (3), the flux and dA/dx
+        assert len(derivative) == 17 * k
         assert len(rhs) == k
 
     def test_t_geo_series_differentiates_only_to_decompose(self, params, grid1024, monkeypatch):

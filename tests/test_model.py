@@ -157,6 +157,13 @@ def _count_cumulative_integrals(monkeypatch):
     return calls
 
 
+# fields that only the Hamiltonian entries (and the tests) read
+HAMILTONIAN_ONLY = (
+    "w_x", "w_xx", "phi_xx", "s_t", "w_t", "phi_t", "phi_xt", "lnchi_x",
+    "lnchi_xx", "vector_potential", "alpha_x", "alpha_t", "alpha_xx",
+)
+
+
 class TestLazyFields:
     def test_hamiltonian_entries_integrate_once(self, params, grid4096, monkeypatch):
         calls = _count_cumulative_integrals(monkeypatch)
@@ -172,7 +179,19 @@ class TestLazyFields:
     def test_lazy_fields_keep_the_eager_bits(self, params, grid4096, t):
         f = model._Fields(t, grid4096, params)
         x = grid4096.x
+        # reference: every field in one eager pass, in the operation order
+        # the lazy fields must keep
+        eta, gamma, inertia = params.eta, params.gamma, params.inertia
+        amp, gp, p, q, r, s = f.amp, f.gp, f.p, f.q, f.r, f.s
         chi2 = np.exp(-f.u ** 2) / (np.sqrt(np.pi) * f.sigma)
+        xi_t = gamma * eta * (x - 1.0)
+        r_t = r * (1.0 - r) * (1.0 / p - xi_t)
+        s_t = s * (1.0 - s) * (3.0 / q - xi_t)
+        vector_potential = model._potential_from_rates(f.u, f.xbar_rate, f.sigma_rate, inertia)
+        w_x = -amp * gp * r * (1.0 - r)
+        phi_xx = -amp * gp ** 2 * s * (1.0 - s) * (1.0 - 2.0 * s)
+        w_t = amp * r_t
+        phi_xt = amp * (gamma * eta * s * (1.0 - s) + gp * (1.0 - 2.0 * s) * s_t)
         eager = {
             "chi2": chi2,
             "chi_abs": np.sqrt(chi2),
@@ -180,14 +199,41 @@ class TestLazyFields:
                 f.w * f.phi_x, grid4096.x_min, method="spectral"
             ),
             "alpha_t": f._drift_phase_rate(x) + grid4096.cumulative_integral(
-                f.w_t * f.phi_x + f.w * f.phi_xt, grid4096.x_min, method="spectral"
+                w_t * f.phi_x + f.w * phi_xt, grid4096.x_min, method="spectral"
             ),
-            "alpha_xx": 2.0 * f.vector_potential_x + f.w_x * f.phi_x + f.w * f.phi_xx,
+            "alpha_xx": 2.0 * f.vector_potential_x + w_x * f.phi_x + f.w * phi_xx,
+            "w_x": w_x,
+            "w_xx": amp * gp ** 2 * r * (1.0 - r) * (1.0 - 2.0 * r),
+            "phi_xx": phi_xx,
+            "s_t": s_t,
+            "w_t": w_t,
+            "phi_t": -amp * s_t,
+            "phi_xt": phi_xt,
+            "lnchi_x": -f.u / f.sigma,
+            "lnchi_xx": np.full(grid4096.n, -1.0 / f.sigma ** 2),
+            "vector_potential": vector_potential,
+            "alpha_x": 2.0 * vector_potential + f.w * f.phi_x,
         }
+        assert set(eager).isdisjoint(vars(f))
         for name, value in eager.items():
             lazy = getattr(f, name)
             assert np.array_equal(lazy, value), name
             assert getattr(f, name) is lazy, name
+
+    def test_assemble_psi_builds_no_hamiltonian_field(self, params, grid4096, monkeypatch):
+        made = []
+
+        class Recorded(model._Fields):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(model, "_Fields", Recorded)
+        model.assemble_psi(0.8, grid4096, params)
+        (f,) = made
+        built = vars(f).keys()
+        assert {"alpha", "chi_abs"} <= built
+        assert built.isdisjoint(HAMILTONIAN_ONLY), sorted(built & set(HAMILTONIAN_ONLY))
 
 
 class TestHamiltonianEntries:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +150,32 @@ def test_step_keeps_the_bits_of_two_full_half_steps(params, grid1024, h_update, 
         assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 
 
+class TestScipyOnFirstUse:
+    def test_cli_import_leaves_scipy_fft_unloaded(self):
+        src = str(Path(propagator.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, efgeo.cli; sys.exit(3 if 'scipy.fft' in sys.modules else 0)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_extended_step_calls_scipy_fft_by_module_attribute(self, params, grid1024,
+                                                               monkeypatch):
+        # the benchmark tracer counts FFTs by patching these attributes
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(scipy.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        cfg = propagator.PropagatorConfig(dt=1e-4, t_end=1e-4)
+        propagator.propagate(params, grid1024, cfg, n_samples=2)
+        assert sorted(calls) == ["fft", "fft", "ifft", "ifft"]
+
+
 class TestFreeParticle:
     def test_gaussian_spreading_matches_closed_form(self, params, grid1024):
         s0, x0 = 0.6, 1.0
@@ -191,9 +223,9 @@ class TestModelPropagation:
         assert abs(center - model.mean_position(0.5, params)) <= 1e-3
         assert abs(spread - model.width(0.5, params)) <= 1e-3
 
-    def test_second_order_convergence(self, params, grid4096):
-        study = propagator.convergence_order(params, grid4096, (8e-4, 4e-4, 2e-4), t_end=0.5)
-        assert 1.8 <= study["order"] <= 2.2
+    def test_second_order_convergence(self, convergence_study):
+        assert convergence_study["dts"] == [8e-4, 4e-4, 2e-4]
+        assert 1.8 <= convergence_study["order"] <= 2.2
 
     def test_half_step_sampling_also_second_order(self, params, grid4096):
         study = propagator.convergence_order(

@@ -30,6 +30,7 @@ from .errors import (
     InvalidField,
     NumericalBlowup,
     RecipeError,
+    SingularGauge,
     VerificationFailure,
 )
 from .grid import Grid1D
@@ -41,7 +42,9 @@ _USAGE_ERRORS = (
     InvalidField,
     RecipeError,
     DegenerateState,
+    SingularGauge,
     OSError,
+    MemoryError,  # an array the requested config needs cannot be allocated
 )
 _FAILURE_ERRORS = (VerificationFailure, AccuracyGuard, NumericalBlowup)
 
@@ -135,17 +138,18 @@ def resolve_config(args) -> dict:
         if value is not None:
             resolved[key] = value
     for key, value in resolved.items():
-        _check_type(key, value, defaults[key])
+        resolved[key] = _checked(key, value, defaults[key])
     if args.command == "verify-tensors":
         _tensor_lists(resolved)
     return resolved
 
 
-def _check_type(key, value, default):
-    """Reject a value whose type does not match the key's flag type.  JSON
-    ints are legal floats; bools are never numbers."""
+def _checked(key, value, default):
+    """The value, refused if its type does not match the key's flag type.
+    JSON ints are legal floats and come back as floats, which numpy takes
+    at any size; bools are never numbers."""
     if value is None and default is None:
-        return
+        return None
     kind = _key_type(key, default)
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
@@ -153,6 +157,7 @@ def _check_type(key, value, default):
     if kind is float and not abs(value) <= sys.float_info.max:
         shown = value if isinstance(value, float) else "an integer beyond the double range"
         raise ConfigError(f"config key {key!r} must be a finite float, got {shown}")
+    return float(value) if kind is float else value
 
 
 def _tensor_lists(cfg) -> tuple:
@@ -174,6 +179,14 @@ def _write_json(path: Path, data: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: Path, header: str, columns):
+    """One row per sample, each value in round-trip precision."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, tolerances: dict):
@@ -230,8 +243,11 @@ def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
     except VerificationFailure as err:
         report = err.report
         failed = True
-    report.write_json(out_dir / "report.json")
-    report.write_csv(out_dir / "series.csv")
+    _write_json(out_dir / "report.json", report.to_dict())
+    _write_csv(out_dir / "series.csv", "t,lhs,rhs_a,rhs_b,residual_a,residual_b", [
+        report.times, report.lhs, report.rhs_a, report.rhs_b,
+        np.abs(report.lhs - report.rhs_a), np.abs(report.lhs - report.rhs_b),
+    ])
     print(
         f"identity: winner reading {report.winner}, "
         f"relative residual {report.rel_residual(report.winner):.3e} "
@@ -277,10 +293,7 @@ def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
     xbar = model.mean_position(times, params)
     sigma = model.width(times, params)
     t_geo = identity.t_geo_series(params, grid, times)
-    with open(out_dir / "figure.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,xbar,sigma,t_geo\n")
-        for row in zip(times, xbar, sigma, t_geo):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(out_dir / "figure.csv", "t,xbar,sigma,t_geo", [times, xbar, sigma, t_geo])
     print(f"figure: {times.size} samples over [{cfg['t_start']}, {cfg['t_end']}] written")
     return 0
 
@@ -297,7 +310,9 @@ def cmd_propagate(cfg: dict, out_dir: Path) -> int:
     result = propagator.propagate(
         params, grid, prop_cfg, n_samples=cfg["n_samples"], dump_path=dump_path
     )
-    result.write_csv(out_dir / "error_series.csv")
+    _write_csv(out_dir / "error_series.csv", "t,l2_error,chi2_error,w_error,t_geo_error", [
+        result.times, result.l2_errors, result.chi2_errors, result.w_errors, result.t_geo_errors,
+    ])
     summary = {
         "steps": result.steps,
         "final_l2_error": float(result.l2_errors[-1]),

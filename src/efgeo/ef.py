@@ -49,11 +49,14 @@ class TwoComponentWavefunction:
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidField(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL:g}")
 
+    @cached_property
     def density(self) -> np.ndarray:
+        """|psi1|^2 + |psi2|^2, computed once: the norm check, the
+        decomposition and the propagator's error record all read it."""
         return np.abs(self.psi1) ** 2 + np.abs(self.psi2) ** 2
 
     def norm(self) -> float:
-        return float(self.grid.integrate(self.density()))
+        return float(self.grid.integrate(self.density))
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,11 @@ class EFDecomposition:
     extended: np.ndarray      # points where Phi is a frozen continuation
     method: str
     inertia: float = None
-    current: np.ndarray = None        # J = inertia * chi2 * A
+
+    @property
+    def current(self) -> np.ndarray:
+        """J = inertia * chi2 * A, or None without an inertia."""
+        return None if self.inertia is None else self.inertia * self.chi2 * self.connection
 
     @property
     def chi_abs(self) -> np.ndarray:
@@ -135,10 +142,10 @@ def decompose(
     """Exact factorization of psi with gauge lambda = 0 (chi real >= 0).
 
     floor is an absolute density threshold; by default 1e-13 of the density
-    maximum.  inertia, when given, also fills the current.
+    maximum.  inertia, when given, also defines the current.
     """
     grid = psi.grid
-    chi2 = psi.density()
+    chi2 = psi.density
     peak = chi2.max()
     if peak == 0.0:
         raise DegenerateState("state has vanishing density everywhere")
@@ -165,8 +172,6 @@ def decompose(
     g2 = -1j * d2 - A * phi2
     metric = np.abs(g1) ** 2 + np.abs(g2) ** 2
 
-    current = None if inertia is None else inertia * chi2 * A
-
     return EFDecomposition(
         grid=grid,
         psi1=psi.psi1,
@@ -184,7 +189,6 @@ def decompose(
         extended=~support,
         method=method,
         inertia=inertia,
-        current=current,
     )
 
 

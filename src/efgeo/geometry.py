@@ -86,38 +86,32 @@ class FamilyRecipe:
     w: Callable
     phi: Callable
     a: Callable
-    name: str = "custom"
 
 
-def smooth_recipe(
-    w0: float = 0.25,
-    w_amp: float = 0.15,
-    phi_amp: float = 0.18,
-    a_amp: float = 0.09,
-) -> FamilyRecipe:
+def smooth_recipe() -> FamilyRecipe:
     """Generic band-limited family exercising every tensor component."""
 
     def w(*Q):
-        out = w0 + w_amp * np.sin(Q[0] + 0.4) * (np.cos(Q[1]) if len(Q) > 1 else 1.0)
+        out = 0.25 + 0.15 * np.sin(Q[0] + 0.4) * (np.cos(Q[1]) if len(Q) > 1 else 1.0)
         if len(Q) > 2:
-            out = out + 0.1 * w_amp * np.sin(Q[2])
+            out = out + 0.1 * 0.15 * np.sin(Q[2])
         return out
 
     def phi(*Q):
-        out = phi_amp * np.cos(Q[0]) + 0.2
+        out = 0.18 * np.cos(Q[0]) + 0.2
         if len(Q) > 1:
-            out = out + 0.8 * phi_amp * np.sin(Q[1] + 0.3)
+            out = out + 0.8 * 0.18 * np.sin(Q[1] + 0.3)
         if len(Q) > 2:
-            out = out + 0.5 * phi_amp * np.cos(Q[2] + 0.1)
+            out = out + 0.5 * 0.18 * np.cos(Q[2] + 0.1)
         return out
 
     def a(*Q):
-        out = a_amp * np.sin(Q[0] + 0.2)
+        out = 0.09 * np.sin(Q[0] + 0.2)
         if len(Q) > 1:
-            out = out + 0.7 * a_amp * np.cos(Q[1])
+            out = out + 0.7 * 0.09 * np.cos(Q[1])
         return np.broadcast_to(out, np.broadcast_shapes(*[q.shape for q in Q])).copy()
 
-    return FamilyRecipe(w=w, phi=phi, a=a, name="smooth")
+    return FamilyRecipe(w=w, phi=phi, a=a)
 
 
 def _const(value):
@@ -129,7 +123,7 @@ def _const(value):
     return f
 
 
-def pure_gauge_recipe(mode: int = 1, w0: float = 0.3, phi0: float = 0.4) -> FamilyRecipe:
+def pure_gauge_recipe(mode: int = 1) -> FamilyRecipe:
     """Constant Bloch angles with a linear (grid-eigenmode) gauge phase.
 
     For a linear phase every discrete tensor vanishes identically, so the
@@ -141,12 +135,12 @@ def pure_gauge_recipe(mode: int = 1, w0: float = 0.3, phi0: float = 0.4) -> Fami
     def a(*Q):
         return float(mode) * Q[0]
 
-    return FamilyRecipe(w=_const(w0), phi=_const(phi0), a=a, name="pure-gauge")
+    return FamilyRecipe(w=_const(0.3), phi=_const(0.4), a=a)
 
 
-def constant_recipe(w0: float = 0.2, phi0: float = 0.5, a0: float = 0.0) -> FamilyRecipe:
+def constant_recipe() -> FamilyRecipe:
     """Constant spinor everywhere: every tensor vanishes."""
-    return FamilyRecipe(w=_const(w0), phi=_const(phi0), a=_const(a0), name="constant")
+    return FamilyRecipe(w=_const(0.2), phi=_const(0.5), a=_const(0.0))
 
 
 NAMED_RECIPES = {
@@ -278,24 +272,18 @@ def tensors(family: TwoLevelFamily, richardson: bool = False) -> TensorFieldSet:
     )
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    name: str
-    max_abs: float
-
-
 def _peak(residual):
     """max |r| of one residual piece."""
     return np.max(np.abs(residual))
 
 
-def _report(name, peaks):
-    """Report the largest of the per-piece peaks.  np.max, unlike the
-    built-in max, is NaN when any peak is NaN."""
-    return ResidualReport(name=name, max_abs=float(np.max(list(peaks))))
+def _report(peaks) -> float:
+    """The largest of the per-piece peaks.  np.max, unlike the built-in max,
+    is NaN when any peak is NaN."""
+    return float(np.max(list(peaks)))
 
 
-def check_cb_identity(ts: TensorFieldSet) -> ResidualReport:
+def check_cb_identity(ts: TensorFieldSet) -> float:
     """Residual of c[tau,sigma,mu] - c[mu,sigma,tau] - d_sigma b[tau,mu] / 2.
 
     b is antisymmetric with a zero diagonal, and the stencil commutes
@@ -315,12 +303,12 @@ def check_cb_identity(ts: TensorFieldSet) -> ResidualReport:
                     yield c[tau, sig, mu] - c[mu, sig, tau] - half_db
                     yield c[mu, sig, tau] - c[tau, sig, mu] + half_db
 
-    return _report("c_b_exchange", map(_peak, pieces()))
+    return _report(map(_peak, pieces()))
 
 
-def check_d_christoffel(ts: TensorFieldSet) -> ResidualReport:
+def check_d_christoffel(ts: TensorFieldSet) -> float:
     pieces = (ts.d[i] + ts.gamma[i] for i in np.ndindex((ts.grid.d,) * 3))
-    return _report("d_plus_christoffel", map(_peak, pieces))
+    return _report(map(_peak, pieces))
 
 
 def check_symmetries(ts: TensorFieldSet) -> dict:
@@ -328,7 +316,7 @@ def check_symmetries(ts: TensorFieldSet) -> dict:
     out = {}
     for name, ten in (("c_last_two_symmetric", ts.c), ("d_last_two_symmetric", ts.d)):
         sym = (ten[m, n, t] - ten[m, t, n] for m, n, t in np.ndindex((d,) * 3))
-        out[name] = _report(name, map(_peak, sym))
+        out[name] = _report(map(_peak, sym))
     return out
 
 
@@ -376,9 +364,9 @@ def check_decompositions(family: TwoLevelFamily, ts: TensorFieldSet) -> dict:
                 rp = dgaa[mu, nu, tau] + dgaa[mu, tau, nu] - dgaa[nu, tau, mu]
                 real_part.append(_peak(2.0 * raw.real - rp))
     return {
-        "d_raw_expansion": _report("d_raw_expansion", d_raw),
-        "c_raw_expansion": _report("c_raw_expansion", c_raw),
-        "real_part_identity": _report("real_part_identity", real_part),
+        "d_raw_expansion": _report(d_raw),
+        "c_raw_expansion": _report(c_raw),
+        "real_part_identity": _report(real_part),
     }
 
 
@@ -392,7 +380,8 @@ IDENTITY_NAMES = (
 
 
 def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid, richardson: bool = False) -> dict:
-    """All five identity residuals plus the symmetry checks for one grid."""
+    """Peak |residual| of all five identities and of the symmetry checks on
+    one grid, by name."""
     family = build_family(recipe, grid)
     ts = tensors(family, richardson)
     out = dict(check_decompositions(family, ts))
@@ -418,7 +407,7 @@ def convergence_study(
     for m in sizes:
         res = identity_residuals(recipe, ParamGrid(shape=(m,) * d), richardson)
         for name in IDENTITY_NAMES:
-            results[name].append(res[name].max_abs)
+            results[name].append(res[name])
     out = {}
     for name, vals in results.items():
         vals_arr = np.asarray(vals)

@@ -20,14 +20,6 @@ _D1_COEFFS = {
     "fd8": (4 / 5, -1 / 5, 4 / 105, -1 / 280),
     "fd12": (6 / 7, -15 / 56, 5 / 63, -1 / 56, 1 / 385, -1 / 5544),
 }
-# Central second-derivative wing weights d_j; applied in difference form
-# sum_j d_j ((f_{i+j} - f_i) + (f_{i-j} - f_i)) / dx^2 so that constants
-# cancel exactly in floating point.
-_D2_WINGS = {
-    "fd4": (4 / 3, -1 / 12),
-    "fd8": (8 / 5, -1 / 5, 8 / 315, -1 / 560),
-    "fd12": (12 / 7, -15 / 56, 10 / 189, -1 / 112, 2 / 1925, -1 / 16632),
-}
 # every method Grid1D.derivative accepts
 DERIVATIVE_METHODS = ("spectral", *_D1_COEFFS)
 
@@ -79,10 +71,10 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if self.n < 16:
-            raise GridError(f"n = {self.n} < 16")
-        if not self.x_max > self.x_min:
-            raise GridError("x_max must exceed x_min")
+        if not 16 <= self.n <= 2 ** 53:  # the index i in x_min + i*dx is exact up to 2**53
+            raise GridError(f"n = {self.n} outside [16, 2**53]")
+        if not 0.0 < self.dx < np.inf:  # x_max > x_min, and no under- or overflow
+            raise GridError(f"x_min = {self.x_min}, x_max = {self.x_max} give spacing dx = {self.dx}")
         # coordinate arrays are built once and shared by every reader, so
         # they are read-only: a write would change the grid for all of them
         x = self.x_min + self.dx * np.arange(self.n)
@@ -112,22 +104,17 @@ class Grid1D:
     def derivative(self, values, order: int = 1, method: str = "spectral") -> np.ndarray:
         """Pointwise derivative of a field sampled on the grid.
 
-        method "spectral" is exact for band-limited periodic input; the fd
-        variants are central stencils of the named order with periodic wrap.
-        Local stencils are the right choice for fields that are smooth on the
-        grid but not periodic across the wrap (only the wrap-adjacent points
-        are then polluted).
+        method "spectral" is exact for band-limited periodic input and gives
+        order 1 or 2; the fd variants are central first-derivative stencils
+        of the named order with periodic wrap.  Local stencils are the right
+        choice for fields that are smooth on the grid but not periodic across
+        the wrap (only the wrap-adjacent points are then polluted).
         """
         f = _validated(self, values)
-        if order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {order}")
-        if method == "spectral":
-            return self._spectral_derivative(f, order)
-        if method in _D1_COEFFS:
-            return self._fd_derivative(f, order, method)
-        raise ValueError(f"unknown derivative method {method!r}")
-
-    def _spectral_derivative(self, f, order):
+        if method in _D1_COEFFS and order == 1:
+            return central_difference(f, _D1_COEFFS[method], self.dx)
+        if method != "spectral" or order not in (1, 2):
+            raise ValueError(f"no {method!r} derivative of order {order}")
         fh = np.fft.fft(f)
         k = self.wavenumbers
         if order == 1:
@@ -139,63 +126,29 @@ class Grid1D:
             out = np.fft.ifft(-(k ** 2) * fh)
         return out if np.iscomplexobj(f) else out.real
 
-    def _fd_derivative(self, f, order, method):
-        if order == 1:
-            return central_difference(f, _D1_COEFFS[method], self.dx)
-        out = np.zeros_like(f)
-        for j, dj in enumerate(_D2_WINGS[method], start=1):
-            out += dj * ((np.roll(f, -j) - f) + (np.roll(f, j) - f))
-        return out / self.dx ** 2
-
     def integrate(self, values) -> float:
         """Periodic rectangle rule, spectrally accurate for periodic or
         edge-decayed integrands."""
         f = _validated(self, values)
         return self.dx * np.sum(f)
 
-    def cumulative_integral(self, values, x_ref: float, method: str = "trapezoid") -> np.ndarray:
+    def cumulative_integral(self, values, x_ref: float) -> np.ndarray:
         """Antiderivative F(x) = int_{x_ref}^{x} f dx' with F(x_ref) = 0.
 
-        "trapezoid" is local with monotone O(dx^2) error.  "spectral" splits
-        off the mean and integrates the oscillatory part exactly; it needs an
-        integrand that is periodic or decayed at the domain edges.
+        Splits off the mean and integrates the oscillatory part spectrally
+        exactly; the integrand must be periodic or decayed at the domain edges.
         """
         f = _validated(self, values)
         if not (self.x_min <= x_ref <= self.x[-1]):
             raise DomainError(f"x_ref = {x_ref} outside [{self.x_min}, {self.x[-1]}]")
-        if method == "trapezoid":
-            F = np.zeros(self.n, dtype=f.dtype if np.iscomplexobj(f) else float)
-            F[1:] = np.cumsum(0.5 * (f[1:] + f[:-1])) * self.dx
-        elif method == "spectral":
-            F = self._spectral_antiderivative(f)
-        else:
-            raise ValueError(f"unknown cumulative method {method!r}")
-        if np.iscomplexobj(F):
-            offset = np.interp(x_ref, self.x, F.real) + 1j * np.interp(x_ref, self.x, F.imag)
-        else:
-            offset = np.interp(x_ref, self.x, F)
-        return F - offset
-
-    def _spectral_antiderivative(self, f):
         fh = np.fft.fft(f)
-        mean = fh[0] / self.n
         k = self.wavenumbers.copy()
         k[0] = 1.0
         sym = fh / (1j * k)
         sym[0] = 0.0
         if self.n % 2 == 0:
             sym[self.n // 2] = 0.0
-        P = np.fft.ifft(sym)
-        ramp = mean * (self.x - self.x_min)
-        out = P + ramp
-        return out if np.iscomplexobj(f) else out.real
-
-    def edges_decayed(self, values, rel_tol: float = 1e-12, margin: int = 8) -> bool:
-        """Domain-adequacy check: field magnitude within `margin` points of
-        either edge has decayed below rel_tol of its maximum."""
-        f = np.abs(_validated(self, values))
-        scale = f.max()
-        if scale == 0.0:
-            return True
-        edge = max(f[:margin].max(), f[-margin:].max())
-        return bool(edge <= rel_tol * scale)
+        F = np.fft.ifft(sym) + fh[0] / self.n * (self.x - self.x_min)
+        if not np.iscomplexobj(f):
+            F = F.real
+        return F - np.interp(x_ref, self.x, F)

@@ -14,7 +14,6 @@ requires.  The verdict between them is decided numerically, never assumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -114,21 +113,6 @@ class IdentityReport:
             "residual_b": np.abs(self.lhs - self.rhs_b).tolist(),
             "extras": self.extras,
         }
-
-    def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, path):
-        cols = [
-            self.times, self.lhs, self.rhs_a, self.rhs_b,
-            np.abs(self.lhs - self.rhs_a), np.abs(self.lhs - self.rhs_b),
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,lhs,rhs_a,rhs_b,residual_a,residual_b\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:

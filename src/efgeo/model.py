@@ -47,6 +47,9 @@ class ModelParams:
             object.__setattr__(self, "inertia", 1.0 / self.mass)
         elif self.inertia <= 0.0:
             raise ConfigError("inertia must be positive")
+        # the model divides by sigma * inertia, and sigma >= 1/(3 sqrt(mass))
+        if not 1.0 / (3.0 * np.sqrt(self.mass)) * self.inertia > 0.0:
+            raise ConfigError(f"inertia = {self.inertia} with mass = {self.mass}: sigma * inertia is 0")
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,7 @@ class _Fields:
         self.u = (x - self.xbar) / self.sigma
 
         self.gp = gp = gamma * (1.0 + eta * t)  # instantaneous front steepness
-        if 1.0 / (gp * grid.dx) < 10.0:
+        if gp * grid.dx > 0.1:  # 1/(gp dx) < 10, without dividing by an underflow
             # static message so repeated warnings deduplicate per call site
             warnings.warn(
                 "front width resolved by fewer than 10 grid points",
@@ -251,13 +254,13 @@ class _Fields:
         # alpha = int_{x_min}^{x} (2A + w phi_x); drift part in closed form,
         # localized front part by spectral antiderivative.
         return self._drift_phase(self.x) + self.grid.cumulative_integral(
-            self.w * self.phi_x, self.grid.x_min, method="spectral"
+            self.w * self.phi_x, self.grid.x_min
         )
 
     @cached_property
     def alpha_t(self):
         return self._drift_phase_rate(self.x) + self.grid.cumulative_integral(
-            self.w_t * self.phi_x + self.w * self.phi_xt, self.grid.x_min, method="spectral"
+            self.w_t * self.phi_x + self.w * self.phi_xt, self.grid.x_min
         )
 
     @cached_property

@@ -43,6 +43,8 @@ class PropagatorConfig:
             raise ConfigError("dt must be positive and finite")
         if not 0.0 <= self.t_end < np.inf:
             raise ConfigError("t_end must be non-negative and finite")
+        if self.steps > 2 ** 53:  # beyond exact integers in a double
+            raise ConfigError(f"t_end / dt = {self.t_end / self.dt:.3g} steps exceeds 2**53")
         if abs(self.steps * self.dt - self.t_end) > HORIZON_REL_TOL * self.t_end:
             raise ConfigError(f"t_end = {self.t_end} is not a whole number of steps dt = {self.dt}")
         if self.h_update not in ("per-step", "per-half-step"):
@@ -67,14 +69,6 @@ class PropagationResult:
     norm_drift: float
     final_state: ef.TwoComponentWavefunction
     steps: int
-
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,l2_error,chi2_error,w_error,t_geo_error\n")
-            rows = zip(self.times, self.l2_errors, self.chi2_errors,
-                       self.w_errors, self.t_geo_errors)
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def model_h_provider(params, grid: Grid1D):
@@ -231,7 +225,7 @@ def _record(state, ref, params, times, l2s, chi2s, ws, tgeos, t):
     grid = state.grid
     diff2 = np.abs(state.psi1 - ref.psi1) ** 2 + np.abs(state.psi2 - ref.psi2) ** 2
     l2s.append(float(np.sqrt(grid.integrate(diff2))))
-    rho_num, rho_ref = state.density(), ref.density()
+    rho_num, rho_ref = state.density, ref.density
     chi2s.append(float(np.max(np.abs(rho_num - rho_ref))))
     # population difference on the visible part of the packet
     vis = rho_ref > 1e-8 * rho_ref.max()

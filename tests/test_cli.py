@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efgeo import cli, geometry
+from efgeo import cli, geometry, identity, model, propagator
 from efgeo.cli import main
 
 
@@ -226,6 +226,14 @@ BAD_INPUTS = {
     "unknown_mutation": lambda p: ["verify-identity", "--mutation", "foo"],
     "zero_delta_t": lambda p: ["verify-identity", "--delta-t", "0"],
     "zero_rel_tol": lambda p: ["verify-identity", "--rel-tol", "0"],
+    "step_count_beyond_double": lambda p: ["propagate", "--t-end", "1e300"],
+    # fails before any allocation: 2**53 int64 points need 64 PiB, more than
+    # any address space holds
+    "grid_beyond_memory": lambda p: ["verify-identity", "--n", str(2 ** 53)],
+    "grid_beyond_array_size": lambda p: ["verify-identity", "--n", str(2 ** 62)],
+    "int_beyond_int64_for_float": lambda p: ["verify-identity", *_config(p, {"delta_t": 2 ** 63})],
+    "underflowing_inertia": lambda p: ["propagate", "--inertia", "5e-324"],
+    "underflowing_spacing": lambda p: ["emit-figure", "--x-min", "0", "--x-max", "5e-324"],
 }
 
 
@@ -246,19 +254,39 @@ def test_domain_message_names_the_edges_and_the_packet_centre(tmp_path, capsys):
     assert "x_min = 5.0, x_max = 6.0" in err and "centre 0 " in err
 
 
+def test_singular_gauge_mid_run_exits_2_with_one_line(tmp_path, capsys):
+    # eta near 0 puts the Bloch angles on a coordinate singularity, which
+    # only the Hamiltonian entries of the run detect
+    args = ["--eta", "1e-62", "--n", "512", "--t-end", "0.01", "--samples", "2"]
+    assert run(["verify-identity", *args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_subnormal_front_steepness_runs(tmp_path):
+    # the resolution test used to divide by gamma * dx, which underflows to 0
+    out = tmp_path / "prop"
+    assert run(["propagate", *_SHORT_RUN, "--gamma", "5e-324", "--out", str(out)]) == 0
+
+
 def test_json_int_is_a_legal_float(tmp_path):
     out = tmp_path / "fig"
     args = _config(tmp_path, {"n": 1024, "samples": 3, "t_end": 1})
     assert run(["emit-figure", *args, "--out", str(out)]) == 0
     assert len((out / "figure.csv").read_text().splitlines()) == 4
+    # resolved to the float it stands for
+    assert isinstance(json.loads((out / "manifest.json").read_text())["config"]["t_end"], float)
 
 
 # keys whose default is None, with the type their values must have
 _NULLABLE = {"inertia": float, "mutation": str}
-_JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=6), st.lists(st.integers(), max_size=3),
-    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+
+# any JSON value: scalars (NaN and infinities too, which Python's reader
+# accepts), nested lists and objects
+_ANY = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
 )
 
 
@@ -283,7 +311,7 @@ def test_mistyped_config_value_exits_2_before_any_computation(data):
     key = data.draw(st.sampled_from(sorted(cli._DEFAULTS[command])))
     default = cli._DEFAULTS[command][key]
     kind = _NULLABLE.get(key, type(default))
-    value = data.draw(_JSON_VALUES.filter(lambda v: not _legal(default, kind, v)))
+    value = data.draw(_ANY.filter(lambda v: not _legal(default, kind, v)))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         never = dict.fromkeys(cli._COMMANDS, _must_not_run)
@@ -291,3 +319,109 @@ def test_mistyped_config_value_exits_2_before_any_computation(data):
             code = run([command, *_config(tmp, {key: value}), "--out", str(tmp / "out")])
         assert code == 2
         assert not (tmp / "out").exists()
+
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each return value."""
+    seen = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
+
+
+def _read_csv(path):
+    header, *rows = path.read_text().splitlines()
+    return header, np.array([[float(v) for v in row.split(",")] for row in rows]).T
+
+
+def test_csv_outputs_parse_back_bit_exactly(tmp_path, monkeypatch):
+    reports = _spy(monkeypatch, identity, "verify")
+    results = _spy(monkeypatch, propagator, "propagate")
+    t_geos = _spy(monkeypatch, identity, "t_geo_series")
+    assert run(["verify-identity", "--n", "1024", "--t-end", "0.5", "--samples", "5",
+                "--delta-t", "4e-4", "--out", str(tmp_path / "vi")]) == 0
+    assert run(["propagate", *_SHORT_RUN, "--n-samples", "3", "--out", str(tmp_path / "p")]) == 0
+    assert run(["emit-figure", "--n", "1024", "--samples", "3", "--t-end", "1.0",
+                "--out", str(tmp_path / "f")]) == 0
+
+    rep, res = reports[0], results[0]
+    times = identity.sample_times(0.0, 1.0, 3)
+    params = model.ModelParams()
+    expected = {
+        "vi/series.csv": ("t,lhs,rhs_a,rhs_b,residual_a,residual_b", [
+            rep.times, rep.lhs, rep.rhs_a, rep.rhs_b,
+            np.abs(rep.lhs - rep.rhs_a), np.abs(rep.lhs - rep.rhs_b),
+        ]),
+        "p/error_series.csv": ("t,l2_error,chi2_error,w_error,t_geo_error", [
+            res.times, res.l2_errors, res.chi2_errors, res.w_errors, res.t_geo_errors,
+        ]),
+        "f/figure.csv": ("t,xbar,sigma,t_geo", [
+            times, model.mean_position(times, params), model.width(times, params), t_geos[-1],
+        ]),
+    }
+    for name, (header, columns) in expected.items():
+        got_header, got = _read_csv(tmp_path / name)
+        assert got_header == header, name
+        assert np.array_equal(got, np.array(columns, dtype=float)), name
+
+
+_SIZES = st.lists(st.integers(0, 40), min_size=1, max_size=2).map(lambda m: ",".join(map(str, m)))
+_RECIPES = st.lists(st.sampled_from(sorted(geometry.NAMED_RECIPES)), min_size=1, max_size=2)
+# size-like keys stay within bounds that keep a run short; names are valid or
+# arbitrary text
+_VALUES = {
+    "n": st.integers(-16, 512),
+    "samples": st.integers(-1, 4),
+    "n_samples": st.integers(-1, 4),
+    "t_end": st.floats(-0.01, 0.01),
+    "dt": st.floats(-1e-3, 1e-3).filter(lambda dt: not 0.0 < dt < 5e-4),
+    "dimension": st.integers(-1, 4),
+    "sizes": st.one_of(_SIZES, st.text(alphabet=" ,-x", max_size=5)),
+    "recipes": st.one_of(_RECIPES.map(",".join), st.text(max_size=5)),
+    "method": st.one_of(st.sampled_from(["spectral", "fd4", "fd8", "fd12"]), st.text(max_size=5)),
+    "mutation": st.one_of(st.sampled_from(identity.MUTATIONS), st.text(max_size=5)),
+    "h_update": st.one_of(st.sampled_from(["per-step", "per-half-step"]), st.text(max_size=5)),
+    "kinetic_precision": st.one_of(st.sampled_from(["extended", "double"]), st.text(max_size=5)),
+}
+# a number or a digit string could make a size-like key arbitrarily large
+_SIZE_LIKE = ("n", "samples", "n_samples", "t_end", "dt", "dimension", "sizes")
+_UNKNOWN = ("", "etaa", "N")  # keys no subcommand knows
+_BASE = {
+    "verify-identity": {"n": 512, "samples": 2, "t_end": 0.01},
+    "propagate": {"n": 512, "dt": 1e-3, "t_end": 0.002, "n_samples": 2},
+    "emit-figure": {"n": 512, "samples": 2, "t_end": 0.01},
+    "verify-tensors": {"sizes": "32", "dimension": 2, "recipes": "smooth"},
+}
+
+
+def _near(default):
+    """Values of a key's type, between zero and twice its default."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if not default:
+        return st.floats(-1.0, 1.0)
+    return st.floats(*sorted((0.0, 2.0 * default)))
+
+
+@pytest.mark.parametrize("command", sorted(_BASE))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_arbitrary_config_exits_0_1_or_2(command, data):
+    defaults = cli._DEFAULTS[command]
+    keys = data.draw(st.lists(st.sampled_from(sorted(defaults)), max_size=3, unique=True))
+    cfg = {key: data.draw(_VALUES[key] if key in _VALUES else _near(defaults[key]), label=key)
+           for key in keys}
+    # in some draws, one key, known or not, holding any JSON value
+    if data.draw(st.booleans(), label="with junk"):
+        junk = data.draw(st.sampled_from([*sorted(defaults), *_UNKNOWN]), label="junk key")
+        bad = _ANY.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float, str)))
+        cfg[junk] = data.draw(bad if junk in _SIZE_LIKE else _ANY, label="junk value")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        args = _config(tmp, {**_BASE[command], **cfg})
+        assert run([command, *args, "--out", str(tmp / "out")]) in (0, 1, 2)

@@ -121,6 +121,10 @@ class TestDecompose:
         bare = ef.decompose(model.assemble_psi(0.2, grid4096, params))
         assert bare.current is None
 
+    def test_decomposition_reads_the_state_density(self, params, grid4096):
+        psi = model.assemble_psi(0.2, grid4096, params)
+        assert ef.decompose(psi).chi2 is psi.density
+
     def test_floor_validation(self, grid1024):
         psi = gaussian_state(grid1024)
         with pytest.raises(ConfigError):
@@ -157,7 +161,7 @@ class TestDecompose:
 
     def test_floor_insensitivity(self, params, grid4096):
         psi = model.assemble_psi(1.0, grid4096, params)
-        peak = psi.density().max()
+        peak = psi.density.max()
         decs = [ef.decompose(psi, floor=r * peak) for r in (1e-12, 1e-13, 1e-14)]
         common = decs[0].mask & decs[1].mask & decs[2].mask
         for a, b in ((decs[0], decs[1]), (decs[1], decs[2])):

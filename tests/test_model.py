@@ -103,7 +103,7 @@ class TestVectorPotential:
         for t in (0.0, 1.3):
             rho = model.nuclear_density(grid4096.x, t, params)
             rate = model.nuclear_density_rate(grid4096.x, t, params)
-            F = grid4096.cumulative_integral(rate, grid4096.x_min, method="spectral")
+            F = grid4096.cumulative_integral(rate, grid4096.x_min)
             visible = rho > 1e-6 * rho.max()
             quad = -F[visible] / (params.inertia * rho[visible])
             closed = model.vector_potential(grid4096.x[visible], t, params)
@@ -196,10 +196,10 @@ class TestLazyFields:
             "chi2": chi2,
             "chi_abs": np.sqrt(chi2),
             "alpha": f._drift_phase(x) + grid4096.cumulative_integral(
-                f.w * f.phi_x, grid4096.x_min, method="spectral"
+                f.w * f.phi_x, grid4096.x_min
             ),
             "alpha_t": f._drift_phase_rate(x) + grid4096.cumulative_integral(
-                w_t * f.phi_x + f.w * phi_xt, grid4096.x_min, method="spectral"
+                w_t * f.phi_x + f.w * phi_xt, grid4096.x_min
             ),
             "alpha_xx": 2.0 * f.vector_potential_x + w_x * f.phi_x + f.w * phi_xx,
             "w_x": w_x,
@@ -327,12 +327,12 @@ class TestAssemblePsi:
         t = 1.4
         psi = model.assemble_psi(t, grid4096, params)
         rho = model.nuclear_density(grid4096.x, t, params)
-        assert np.max(np.abs(psi.density() - rho)) <= 1e-14 * rho.max()
+        assert np.max(np.abs(psi.density - rho)) <= 1e-14 * rho.max()
 
     def test_population_difference_recovers_w(self, params, grid4096):
         t = 0.6
         psi = model.assemble_psi(t, grid4096, params)
-        rho = psi.density()
+        rho = psi.density
         b = model.bloch_fields(t, grid4096, params)
         vis = rho > 1e-30 * rho.max()
         wrec = (np.abs(psi.psi1[vis]) ** 2 - np.abs(psi.psi2[vis]) ** 2) / rho[vis]

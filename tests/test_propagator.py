@@ -217,7 +217,7 @@ class TestModelPropagation:
 
         # gaussian moments of the propagated density recover the prescribed
         # center and width (variance of exp(-u^2) is sigma^2 / 2)
-        rho = res.final_state.density()
+        rho = res.final_state.density
         center = grid4096.integrate(grid4096.x * rho)
         spread = np.sqrt(2.0 * grid4096.integrate((grid4096.x - center) ** 2 * rho))
         assert abs(center - model.mean_position(0.5, params)) <= 1e-3

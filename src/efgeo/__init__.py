@@ -9,41 +9,21 @@ tensor identities on synthetic families.
 """
 
 from .ef import EFDecomposition, KineticPartition, TwoComponentWavefunction, decompose, energies
-from .errors import (
-    AccuracyGuard,
-    ConfigError,
-    DegenerateState,
-    DomainError,
-    GridError,
-    InvalidField,
-    NumericalBlowup,
-    RecipeError,
-    ResolutionWarning,
-    SingularGauge,
-    VerificationFailure,
-)
+from .errors import ConfigError, ResolutionWarning, VerificationFailure
 from .grid import Grid1D
 from .model import BlochState, HamiltonianFields, ModelParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyGuard",
     "BlochState",
     "ConfigError",
-    "DegenerateState",
-    "DomainError",
     "EFDecomposition",
     "Grid1D",
-    "GridError",
     "HamiltonianFields",
-    "InvalidField",
     "KineticPartition",
     "ModelParams",
-    "NumericalBlowup",
-    "RecipeError",
     "ResolutionWarning",
-    "SingularGauge",
     "TwoComponentWavefunction",
     "VerificationFailure",
     "decompose",

@@ -3,8 +3,10 @@
 Subcommands: verify-identity, verify-tensors, emit-figure, propagate.
 Every run resolves its configuration from built-in defaults, then an
 optional JSON config file, then per-key command-line flags, and writes the
-resolved values to manifest.json next to the other outputs.  Outputs are
-bit-reproducible: nothing time- or host-dependent is ever written.
+resolved values to manifest.json next to the other outputs.  A run writes
+its files only once its computation returns, so a refused run leaves none.
+Outputs are bit-reproducible: nothing time- or host-dependent is ever
+written.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error.
 """
@@ -21,32 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, ef, geometry, identity, model, propagator
-from .errors import (
-    AccuracyGuard,
-    ConfigError,
-    DegenerateState,
-    DomainError,
-    GridError,
-    InvalidField,
-    NumericalBlowup,
-    RecipeError,
-    SingularGauge,
-    VerificationFailure,
-)
+from .errors import ConfigError, VerificationFailure
 from .grid import Grid1D
-
-_USAGE_ERRORS = (
-    ConfigError,
-    GridError,
-    DomainError,
-    InvalidField,
-    RecipeError,
-    DegenerateState,
-    SingularGauge,
-    OSError,
-    MemoryError,  # an array the requested config needs cannot be allocated
-)
-_FAILURE_ERRORS = (VerificationFailure, AccuracyGuard, NumericalBlowup)
 
 # fewest grid points across the narrowest packet width 1/(3 sqrt(mass)).
 # Coarser grids fail the state-norm check; grids just finer still give an
@@ -139,8 +117,6 @@ def resolve_config(args) -> dict:
             resolved[key] = value
     for key, value in resolved.items():
         resolved[key] = _checked(key, value, defaults[key])
-    if args.command == "verify-tensors":
-        _tensor_lists(resolved)
     return resolved
 
 
@@ -167,8 +143,11 @@ def _tensor_lists(cfg) -> tuple:
     except ValueError:
         raise ConfigError(f"sizes must be comma-separated integers, got {cfg['sizes']!r}") from None
     recipes = [r.strip() for r in cfg["recipes"].split(",") if r.strip()]
-    if not sizes or not recipes:
-        raise ConfigError("need at least one grid size and one recipe")
+    # the convergence order is a fit over the sizes: one point fits no line
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ConfigError(f"sizes must be at least two distinct grid sizes, got {cfg['sizes']!r}")
+    if not recipes:
+        raise ConfigError("need at least one recipe")
     for name in recipes:
         if name not in geometry.NAMED_RECIPES:
             raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(geometry.NAMED_RECIPES)}")
@@ -197,9 +176,9 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, tolerances: dict):
 def _model_and_grid(cfg, times):
     """Model and grid of a run that builds the model state at `times`.
 
-    Refuses, before any output, a grid too coarse for the packet and a
-    domain that leaves more of the packet outside than the state-norm check
-    in ef accepts at any of those times.
+    Refuses a grid too coarse for the packet and a domain that leaves more
+    of the packet outside than the state-norm check in ef accepts at any of
+    those times, with a message that names the cause.
     """
     params = model.ModelParams(**{key: cfg[key] for key in _MODEL_KEYS})
     grid = Grid1D(x_min=cfg["x_min"], x_max=cfg["x_max"], n=cfg["n"])
@@ -227,11 +206,11 @@ def _model_and_grid(cfg, times):
 
 def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
     times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
+    # refuses a delta_t that is not positive before the stencil is built from it
     identity.check_settings(cfg["delta_t"], cfg["rel_tol"], cfg["method"], cfg["mutation"])
     # each sample also builds states at t +- delta_t and t +- 2 delta_t
     stencil = times[:, None] + cfg["delta_t"] * np.arange(-2, 3)
     params, grid = _model_and_grid(cfg, stencil.ravel())
-    _write_manifest(out_dir, "verify-identity", cfg, {"rel_tol": cfg["rel_tol"]})
     try:
         report = identity.verify(
             params, grid,
@@ -243,6 +222,7 @@ def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
     except VerificationFailure as err:
         report = err.report
         failed = True
+    _write_manifest(out_dir, "verify-identity", cfg, {"rel_tol": cfg["rel_tol"]})
     _write_json(out_dir / "report.json", report.to_dict())
     _write_csv(out_dir / "series.csv", "t,lhs,rhs_a,rhs_b,residual_a,residual_b", [
         report.times, report.lhs, report.rhs_a, report.rhs_b,
@@ -258,8 +238,6 @@ def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
 
 def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
     sizes, recipes = _tensor_lists(cfg)
-    _write_manifest(out_dir, "verify-tensors", cfg,
-                    {"tol": cfg["tol"], "slope_min": cfg["slope_min"]})
     report = {"recipes": {}, "passed": True}
     for name in recipes:
         recipe = geometry.NAMED_RECIPES[name]()
@@ -278,6 +256,8 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
             }
             report["passed"] = report["passed"] and ok
         report["recipes"][name] = entry
+    _write_manifest(out_dir, "verify-tensors", cfg,
+                    {"tol": cfg["tol"], "slope_min": cfg["slope_min"]})
     _write_json(out_dir / "report.json", report)
     for name, entry in report["recipes"].items():
         worst = max(v["max_abs"][0] for v in entry.values())
@@ -289,10 +269,10 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
 def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
     times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
     params, grid = _model_and_grid(cfg, times)
-    _write_manifest(out_dir, "emit-figure", cfg, {})
     xbar = model.mean_position(times, params)
     sigma = model.width(times, params)
     t_geo = identity.t_geo_series(params, grid, times)
+    _write_manifest(out_dir, "emit-figure", cfg, {})
     _write_csv(out_dir / "figure.csv", "t,xbar,sigma,t_geo", [times, xbar, sigma, t_geo])
     print(f"figure: {times.size} samples over [{cfg['t_start']}, {cfg['t_end']}] written")
     return 0
@@ -303,13 +283,18 @@ def cmd_propagate(cfg: dict, out_dir: Path) -> int:
         dt=cfg["dt"], t_end=cfg["t_end"], h_update=cfg["h_update"],
         kinetic_precision=cfg["kinetic_precision"],
     )
-    samples = propagator.sample_steps(prop_cfg.steps, cfg["n_samples"])  # refuse before any output
+    samples = propagator.sample_steps(prop_cfg.steps, cfg["n_samples"])
     params, grid = _model_and_grid(cfg, np.asarray(samples) * prop_cfg.dt)
-    _write_manifest(out_dir, "propagate", cfg, {})
     dump_path = out_dir / "trajectory.csv" if cfg["dump"] else None
-    result = propagator.propagate(
-        params, grid, prop_cfg, n_samples=cfg["n_samples"], dump_path=dump_path
-    )
+    try:
+        result = propagator.propagate(
+            params, grid, prop_cfg, n_samples=cfg["n_samples"], dump_path=dump_path
+        )
+    except BaseException:  # the trajectory is written as the run goes
+        if dump_path:
+            dump_path.unlink(missing_ok=True)
+        raise
+    _write_manifest(out_dir, "propagate", cfg, {})
     _write_csv(out_dir / "error_series.csv", "t,l2_error,chi2_error,w_error,t_geo_error", [
         result.times, result.l2_errors, result.chi2_errors, result.w_errors, result.t_geo_errors,
     ])
@@ -344,10 +329,10 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except _FAILURE_ERRORS as err:
+    except VerificationFailure as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as err:
+    except (ConfigError, OSError, MemoryError) as err:  # MemoryError: arrays too large to allocate
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
 

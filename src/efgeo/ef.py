@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateState, InvalidField
+from .errors import ConfigError
 from .grid import Grid1D
 
 DEFAULT_FLOOR_RATIO = 1e-13
@@ -42,12 +42,12 @@ class TwoComponentWavefunction:
     def __post_init__(self):
         for comp in (self.psi1, self.psi2):
             if np.asarray(comp).shape != (self.grid.n,):
-                raise InvalidField("spinor component length does not match grid")
+                raise ConfigError("spinor component length does not match grid")
             if not np.all(np.isfinite(comp)):
-                raise InvalidField("spinor component has non-finite entries")
+                raise ConfigError("spinor component has non-finite entries")
         norm = self.norm()
         if abs(norm - 1.0) > NORM_TOL:
-            raise InvalidField(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL:g}")
+            raise ConfigError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL:g}")
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -148,14 +148,14 @@ def decompose(
     chi2 = psi.density
     peak = chi2.max()
     if peak == 0.0:
-        raise DegenerateState("state has vanishing density everywhere")
+        raise ConfigError("state has vanishing density everywhere")
     if floor is None:
         floor = DEFAULT_FLOOR_RATIO * peak
     if floor <= 0.0:
         raise ConfigError("density floor must be positive")
     mask = chi2 > floor
     if not mask.any():
-        raise DegenerateState("density never exceeds the floor")
+        raise ConfigError("density never exceeds the floor")
 
     support = chi2 > floor * EXTENSION_RATIO
     chi_safe = np.where(support, np.sqrt(chi2), 1.0)

@@ -1,44 +1,17 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
 
-
-class GridError(Exception):
-    """Grid construction or transform-size constraint violated."""
-
-
-class InvalidField(Exception):
-    """Field values are non-finite or incompatible with the grid."""
-
-
-class DomainError(Exception):
-    """A coordinate argument lies outside the grid domain."""
+Every refused input raises ConfigError and every failed check raises
+VerificationFailure; the command line exits 2 and 1 on them.
+"""
 
 
 class ConfigError(Exception):
-    """Invalid parameter set or run configuration."""
-
-
-class DegenerateState(Exception):
-    """Wavefunction has no support above the density floor."""
-
-
-class SingularGauge(Exception):
-    """Bloch angles too close to a coordinate singularity to invert."""
-
-
-class RecipeError(Exception):
-    """Synthetic field recipe violates a family invariant."""
-
-
-class NumericalBlowup(Exception):
-    """Non-finite values appeared during time propagation."""
-
-
-class AccuracyGuard(Exception):
-    """Requested step size exceeds the accuracy guard for the scheme."""
+    """Invalid input: a parameter, grid, field, state, recipe or run setting."""
 
 
 class VerificationFailure(Exception):
-    """A verification run exceeded its tolerance; carries the report."""
+    """A run failed a check: a residual above its tolerance, a step above the
+    accuracy guard or a diverging norm; carries the report when there is one."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

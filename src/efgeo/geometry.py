@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, RecipeError
+from .errors import ConfigError
 from .grid import central_difference
 
 _W_BOUND = 1.0 - 1e-3
@@ -63,20 +63,9 @@ class ParamGrid:
         axes = [h * np.arange(m) for h, m in zip(self.spacings, self.shape)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def diff(self, values: np.ndarray, axis: int, richardson: bool = False) -> np.ndarray:
-        """4th-order central derivative along one axis, periodic wrap.
-
-        richardson combines the stencil with its double-spacing variant for
-        a 6th-order result.
-        """
-        d4 = self._stencil(values, axis, 1)
-        if not richardson:
-            return d4
-        d4_coarse = self._stencil(values, axis, 2)
-        return (16.0 * d4 - d4_coarse) / 15.0
-
-    def _stencil(self, f, axis, step):
-        return central_difference(f, (8.0, -1.0), 12.0 * self.spacings[axis] * step, axis, step)
+    def diff(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """4th-order central derivative along one axis, periodic wrap."""
+        return central_difference(values, (8.0, -1.0), 12.0 * self.spacings[axis], axis, 1)
 
 
 @dataclass(frozen=True)
@@ -179,11 +168,11 @@ def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> TwoLevelFamily:
     a = np.asarray(recipe.a(*Q), dtype=float)
     for name, arr in (("w", w), ("phi", phi), ("a", a)):
         if arr.shape != grid.shape:
-            raise RecipeError(f"recipe field {name} has shape {arr.shape}, expected {grid.shape}")
+            raise ConfigError(f"recipe field {name} has shape {arr.shape}, expected {grid.shape}")
         if not np.all(np.isfinite(arr)):
-            raise RecipeError(f"recipe field {name} is not finite")
+            raise ConfigError(f"recipe field {name} is not finite")
     if np.max(np.abs(w)) > _W_BOUND:
-        raise RecipeError(f"|w| reaches {np.max(np.abs(w)):.4f} > {_W_BOUND}")
+        raise ConfigError(f"|w| reaches {np.max(np.abs(w)):.4f} > {_W_BOUND}")
     return TwoLevelFamily(grid=grid, w=w, phi=phi, a=a)
 
 
@@ -199,9 +188,7 @@ class TensorFieldSet:
     c: np.ndarray
     d: np.ndarray
     gamma: np.ndarray
-    richardson: bool = False
-    # spinor and its first covariant derivative, kept for identity checks
-    phi: np.ndarray = field(default=None, repr=False)
+    # first derivatives of the spinor, which check_decompositions expands
     dphi: np.ndarray = field(default=None, repr=False)
 
 
@@ -221,12 +208,12 @@ def _symmetric_derivatives(D, field, d):
     return table
 
 
-def tensors(family: TwoLevelFamily, richardson: bool = False) -> TensorFieldSet:
+def tensors(family: TwoLevelFamily) -> TensorFieldSet:
     """Evaluate connection, curvature, metric and the rank-3 tensors."""
     grid = family.grid
     d = grid.d
     phi = family.spinor()
-    D = lambda arr, mu: grid.diff(arr, mu, richardson)
+    D = grid.diff
 
     dphi = np.stack([np.stack([D(phi[s], mu) for s in range(2)]) for mu in range(d)])
     A = np.stack(
@@ -267,8 +254,7 @@ def tensors(family: TwoLevelFamily, richardson: bool = False) -> TensorFieldSet:
                 gamma[mu, nu, tau] = 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
 
     return TensorFieldSet(
-        grid=grid, a=A, b=b, g=g, c=c, d=dten, gamma=gamma,
-        richardson=richardson, phi=phi, dphi=dphi,
+        grid=grid, a=A, b=b, g=g, c=c, d=dten, gamma=gamma, dphi=dphi,
     )
 
 
@@ -299,7 +285,7 @@ def check_cb_identity(ts: TensorFieldSet) -> float:
             for sig in range(d):
                 yield c[tau, sig, tau] - c[tau, sig, tau]
                 for mu in range(tau + 1, d):
-                    half_db = 0.5 * grid.diff(ts.b[tau, mu], sig, ts.richardson)
+                    half_db = 0.5 * grid.diff(ts.b[tau, mu], sig)
                     yield c[tau, sig, mu] - c[mu, sig, tau] - half_db
                     yield c[mu, sig, tau] - c[tau, sig, mu] + half_db
 
@@ -320,13 +306,13 @@ def check_symmetries(ts: TensorFieldSet) -> dict:
     return out
 
 
-def check_decompositions(family: TwoLevelFamily, ts: TensorFieldSet) -> dict:
+def check_decompositions(ts: TensorFieldSet) -> dict:
     """Residuals of the raw-derivative expansions of the rank-3 tensors and
     of the real-part identity that closes them."""
     grid = ts.grid
     d = grid.d
-    D = lambda arr, mu: grid.diff(arr, mu, ts.richardson)
-    phi, dphi, A, g, b = ts.phi, ts.dphi, ts.a, ts.g, ts.b
+    D = grid.diff
+    dphi, A, g, b = ts.dphi, ts.a, ts.g, ts.b
 
     ddphi = np.empty((d, d), dtype=object)
     for nu in range(d):
@@ -379,24 +365,16 @@ IDENTITY_NAMES = (
 )
 
 
-def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid, richardson: bool = False) -> dict:
-    """Peak |residual| of all five identities and of the symmetry checks on
-    one grid, by name."""
-    family = build_family(recipe, grid)
-    ts = tensors(family, richardson)
-    out = dict(check_decompositions(family, ts))
+def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid) -> dict:
+    """Peak |residual| of the five identities on one grid, by name."""
+    ts = tensors(build_family(recipe, grid))
+    out = check_decompositions(ts)
     out["d_plus_christoffel"] = check_d_christoffel(ts)
     out["c_b_exchange"] = check_cb_identity(ts)
-    out.update(check_symmetries(ts))
     return out
 
 
-def convergence_study(
-    recipe: FamilyRecipe,
-    sizes=(64, 128, 256),
-    d: int = 2,
-    richardson: bool = False,
-) -> dict:
+def convergence_study(recipe: FamilyRecipe, sizes=(64, 128, 256), d: int = 2) -> dict:
     """Identity residuals across grid refinements with fitted orders.
 
     Returns {identity: {"sizes": [...], "max_abs": [...], "order": slope}}.
@@ -405,7 +383,7 @@ def convergence_study(
     """
     results = {name: [] for name in IDENTITY_NAMES}
     for m in sizes:
-        res = identity_residuals(recipe, ParamGrid(shape=(m,) * d), richardson)
+        res = identity_residuals(recipe, ParamGrid(shape=(m,) * d))
         for name in IDENTITY_NAMES:
             results[name].append(res[name])
     out = {}

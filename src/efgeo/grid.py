@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError, InvalidField
+from .errors import ConfigError
 
 # Central first-derivative stencils: f'_i ~ sum_j c_j (f_{i+j} - f_{i-j}) / dx.
 _D1_COEFFS = {
@@ -56,9 +56,9 @@ def five_point(f_m2, f_m1, f_p1, f_p2, h):
 def _validated(grid, values):
     f = np.asarray(values)
     if f.shape != (grid.n,):
-        raise InvalidField(f"field has shape {f.shape}, expected ({grid.n},)")
+        raise ConfigError(f"field has shape {f.shape}, expected ({grid.n},)")
     if not np.all(np.isfinite(f)):
-        raise InvalidField("field contains non-finite entries")
+        raise ConfigError("field contains non-finite entries")
     return f
 
 
@@ -72,9 +72,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not 16 <= self.n <= 2 ** 53:  # the index i in x_min + i*dx is exact up to 2**53
-            raise GridError(f"n = {self.n} outside [16, 2**53]")
+            raise ConfigError(f"n = {self.n} outside [16, 2**53]")
         if not 0.0 < self.dx < np.inf:  # x_max > x_min, and no under- or overflow
-            raise GridError(f"x_min = {self.x_min}, x_max = {self.x_max} give spacing dx = {self.dx}")
+            raise ConfigError(f"x_min = {self.x_min}, x_max = {self.x_max} give spacing dx = {self.dx}")
         # coordinate arrays are built once and shared by every reader, so
         # they are read-only: a write would change the grid for all of them
         x = self.x_min + self.dx * np.arange(self.n)
@@ -140,7 +140,7 @@ class Grid1D:
         """
         f = _validated(self, values)
         if not (self.x_min <= x_ref <= self.x[-1]):
-            raise DomainError(f"x_ref = {x_ref} outside [{self.x_min}, {self.x[-1]}]")
+            raise ConfigError(f"x_ref = {x_ref} outside [{self.x_min}, {self.x[-1]}]")
         fh = np.fft.fft(f)
         k = self.wavenumbers.copy()
         k[0] = 1.0

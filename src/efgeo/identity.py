@@ -116,7 +116,13 @@ class IdentityReport:
 
 
 def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
-    """Uniform sample times over [t_start, t_end], both ends included."""
+    """Uniform sample times over [t_start, t_end], both ends included.
+
+    The model starts at t = 0: its front terms 1 + t and 1 + 3t vanish at
+    t = -1 and t = -1/3.
+    """
+    if not t_start >= 0.0:
+        raise ConfigError(f"t_start = {t_start} is negative; the model starts at t = 0")
     if samples < 2 or not t_end > t_start:
         raise ConfigError("need at least 2 samples spanning a nonzero time range")
     return np.linspace(t_start, t_end, samples)

@@ -9,6 +9,7 @@ model parameters, the time and the grid.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .ef import TwoComponentWavefunction
-from .errors import ConfigError, ResolutionWarning, SingularGauge
+from .errors import ConfigError, ResolutionWarning
 from .grid import Grid1D, five_point
 
 _CLIP = 700.0  # exp argument guard
@@ -47,8 +48,9 @@ class ModelParams:
             object.__setattr__(self, "inertia", 1.0 / self.mass)
         elif self.inertia <= 0.0:
             raise ConfigError("inertia must be positive")
-        # the model divides by sigma * inertia, and sigma >= 1/(3 sqrt(mass))
-        if not 1.0 / (3.0 * np.sqrt(self.mass)) * self.inertia > 0.0:
+        # the model divides by sigma * inertia, and sigma >= 1/(3 sqrt(mass));
+        # a Python float product overflows to inf without a warning
+        if not 1.0 / (3.0 * math.sqrt(self.mass)) * self.inertia > 0.0:
             raise ConfigError(f"inertia = {self.inertia} with mass = {self.mass}: sigma * inertia is 0")
 
 
@@ -310,7 +312,7 @@ def hamiltonian_entries(
     sin_th = np.sqrt(1.0 - f.w ** 2)
     sin_phi = np.sin(f.phi)
     if np.min(np.abs(sin_phi)) < 1e-6 or np.min(sin_th) < 1e-6:
-        raise SingularGauge("sin(phi) or sin(theta) below 1e-6")
+        raise ConfigError("sin(phi) or sin(theta) below 1e-6")
 
     if time_derivatives == "analytic":
         w_t, phi_t, alpha_t = f.w_t, f.phi_t, f.alpha_t

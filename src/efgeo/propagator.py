@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ef, model
-from .errors import AccuracyGuard, ConfigError, NumericalBlowup
+from .errors import ConfigError, VerificationFailure
 from .grid import Grid1D
 
 DT_MAX = 1e-3  # accuracy guard on the step size
@@ -52,7 +52,7 @@ class PropagatorConfig:
         if self.kinetic_precision not in ("extended", "double"):
             raise ConfigError(f"unknown kinetic_precision {self.kinetic_precision!r}")
         if self.dt > DT_MAX:
-            raise AccuracyGuard(f"dt = {self.dt} exceeds the guard {DT_MAX}")
+            raise VerificationFailure(f"dt = {self.dt} exceeds the guard {DT_MAX}")
 
     @property
     def steps(self) -> int:
@@ -202,7 +202,7 @@ def propagate(
             psi1, psi2 = _step_arrays(psi1, psi2, t, cfg.dt, h_provider, kin_phase, cfg.h_update)
             norm = grid.dx * (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2))
             if not np.isfinite(norm):
-                raise NumericalBlowup(f"norm diverged at step {step_idx + 1}")
+                raise VerificationFailure(f"norm diverged at step {step_idx + 1}")
             norm_drift = max(norm_drift, abs(norm - 1.0))
     finally:
         if dump:

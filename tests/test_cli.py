@@ -130,15 +130,16 @@ class TestVerifyTensors:
             assert entry["max_abs"][0] <= 1e-12
 
     def test_tiny_grid_rejected(self, tmp_path):
-        assert run(["verify-tensors", "--sizes", "8,16",
-                    "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert run(["verify-tensors", "--sizes", "8,16", "--out", str(out)]) == 2
+        assert not any(out.iterdir())
 
     def test_nan_residual_fails(self, tmp_path):
         out = tmp_path / "vtn"
         clean = geometry.tensors
 
-        def poisoned(family, richardson=False):
-            ts = clean(family, richardson)
+        def poisoned(family):
+            ts = clean(family)
             ts.c[1, 1, 0][3, 4] = np.nan
             return ts
 
@@ -225,6 +226,8 @@ BAD_INPUTS = {
     "unknown_method": lambda p: ["verify-identity", "--method", "foo"],
     "unknown_mutation": lambda p: ["verify-identity", "--mutation", "foo"],
     "zero_delta_t": lambda p: ["verify-identity", "--delta-t", "0"],
+    # the sample stencil t + k delta_t would overflow to inf
+    "huge_negative_delta_t": lambda p: ["verify-identity", "--delta-t=-1e308"],
     "zero_rel_tol": lambda p: ["verify-identity", "--rel-tol", "0"],
     "step_count_beyond_double": lambda p: ["propagate", "--t-end", "1e300"],
     # fails before any allocation: 2**53 int64 points need 64 PiB, more than
@@ -234,10 +237,19 @@ BAD_INPUTS = {
     "int_beyond_int64_for_float": lambda p: ["verify-identity", *_config(p, {"delta_t": 2 ** 63})],
     "underflowing_inertia": lambda p: ["propagate", "--inertia", "5e-324"],
     "underflowing_spacing": lambda p: ["emit-figure", "--x-min", "0", "--x-max", "5e-324"],
+    # a convergence order is a fit through the sizes
+    "repeated_sizes": lambda p: ["verify-tensors", "--sizes", "32,32"],
+    "single_size": lambda p: ["verify-tensors", "--sizes", "64"],
+    "zero_dimension": lambda p: ["verify-tensors", "--dimension", "0"],
+    # the model's front terms vanish at t = -1 and t = -1/3
+    "negative_figure_start": lambda p: ["emit-figure", "--t-start", "-1"],
+    "negative_identity_start": lambda p: ["verify-identity", "--t-start", "-0.5"],
+    "vanishing_mass": lambda p: ["emit-figure", "--mass", "1e-300"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(BAD_INPUTS[case](tmp_path) + ["--out", str(out)]) == 2
@@ -256,11 +268,28 @@ def test_domain_message_names_the_edges_and_the_packet_centre(tmp_path, capsys):
 
 def test_singular_gauge_mid_run_exits_2_with_one_line(tmp_path, capsys):
     # eta near 0 puts the Bloch angles on a coordinate singularity, which
-    # only the Hamiltonian entries of the run detect
-    args = ["--eta", "1e-62", "--n", "512", "--t-end", "0.01", "--samples", "2"]
-    assert run(["verify-identity", *args, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    # only the Hamiltonian entries of the run detect; propagate has dumped
+    # the first sample by then
+    singular = ["--eta", "1e-62", "--n", "512"]
+    runs = {
+        "identity": ["verify-identity", *singular, "--t-end", "0.01", "--samples", "2"],
+        "dump": ["propagate", *singular, "--dt", "1e-3", "--t-end", "0.002", "--dump"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert not any(out.iterdir()), name
+
+
+def test_non_finite_state_mid_run_leaves_no_output(tmp_path):
+    # 2 / inertia overflows in the drift phase, and the state check of the
+    # run refuses the resulting NaN spinor
+    out = tmp_path / "out"
+    args = ["--n", "512", "--samples", "2", "--t-end", "0.01", "--inertia", "1e-308"]
+    assert run(["emit-figure", *args, "--out", str(out)]) == 2
+    assert not any(out.iterdir())
 
 
 def test_subnormal_front_steepness_runs(tmp_path):
@@ -395,7 +424,7 @@ _BASE = {
     "verify-identity": {"n": 512, "samples": 2, "t_end": 0.01},
     "propagate": {"n": 512, "dt": 1e-3, "t_end": 0.002, "n_samples": 2},
     "emit-figure": {"n": 512, "samples": 2, "t_end": 0.01},
-    "verify-tensors": {"sizes": "32", "dimension": 2, "recipes": "smooth"},
+    "verify-tensors": {"sizes": "32,40", "dimension": 2, "recipes": "smooth"},
 }
 
 
@@ -424,4 +453,7 @@ def test_arbitrary_config_exits_0_1_or_2(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         args = _config(tmp, {**_BASE[command], **cfg})
-        assert run([command, *args, "--out", str(tmp / "out")]) in (0, 1, 2)
+        code = run([command, *args, "--out", str(tmp / "out")])
+        assert code in (0, 1, 2)
+        if code == 2:  # a refused run leaves no file
+            assert not (tmp / "out").exists() or not any((tmp / "out").iterdir())

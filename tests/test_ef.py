@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from periodic_states import make_periodic_state, regauged, smooth_gauge
 from efgeo import ef, model
-from efgeo.errors import ConfigError, DegenerateState, InvalidField
+from efgeo.errors import ConfigError
 from efgeo.grid import Grid1D
 
 
@@ -43,7 +43,7 @@ def gaussian_state(grid, spinor=(1.0, 0.0), k=0.0, x0=0.5, s0=0.7):
 class TestWavefunctionType:
     def test_rejects_unnormalized(self, grid1024):
         chi = np.exp(-grid1024.x ** 2)
-        with pytest.raises(InvalidField):
+        with pytest.raises(ConfigError, match="deviates from 1"):
             ef.TwoComponentWavefunction(
                 grid=grid1024, psi1=chi.astype(complex), psi2=np.zeros(grid1024.n, dtype=complex)
             )
@@ -52,7 +52,7 @@ class TestWavefunctionType:
         psi = gaussian_state(grid1024)
         bad = psi.psi1.copy()
         bad[0] = np.nan
-        with pytest.raises(InvalidField):
+        with pytest.raises(ConfigError, match="spinor component has non-finite entries"):
             ef.TwoComponentWavefunction(grid=grid1024, psi1=bad, psi2=psi.psi2)
 
 
@@ -127,9 +127,9 @@ class TestDecompose:
 
     def test_floor_validation(self, grid1024):
         psi = gaussian_state(grid1024)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="density floor must be positive"):
             ef.decompose(psi, floor=-1.0)
-        with pytest.raises(DegenerateState):
+        with pytest.raises(ConfigError, match="density never exceeds the floor"):
             ef.decompose(psi, floor=1e9)
 
     def test_disjoint_support_islands(self, grid1024):

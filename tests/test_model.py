@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from efgeo import model
-from efgeo.errors import ConfigError, ResolutionWarning, SingularGauge
+from efgeo.errors import ConfigError, ResolutionWarning
 from efgeo.grid import Grid1D
 from efgeo.model import ModelParams
 
@@ -309,7 +309,7 @@ class TestHamiltonianEntries:
     def test_singular_gauge_detected(self, grid1024):
         # with eta this small, |sin(phi)| falls below the guard near x -> +inf
         nearly_singular = ModelParams(eta=1e-7)
-        with pytest.raises(SingularGauge):
+        with pytest.raises(ConfigError, match=r"sin\(phi\) or sin\(theta\) below 1e-6"):
             model.hamiltonian_entries(0.0, grid1024, nearly_singular)
 
     def test_unknown_mode_rejected(self, params, grid1024):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efgeo import ef, model, propagator
-from efgeo.errors import AccuracyGuard, ConfigError, NumericalBlowup
+from efgeo.errors import ConfigError, VerificationFailure
 
 
 def zero_h(grid):
@@ -40,7 +40,7 @@ class TestConfig:
             propagator.PropagatorConfig(dt=1e-4, t_end=1.0, h_update="sometimes")
 
     def test_accuracy_guard(self):
-        with pytest.raises(AccuracyGuard):
+        with pytest.raises(VerificationFailure, match="exceeds the guard"):
             propagator.PropagatorConfig(dt=1.0, t_end=1.0)
 
 
@@ -258,7 +258,7 @@ class TestModelPropagation:
         bad = np.full(grid1024.n, np.inf)
         provider = lambda t: (bad, bad, bad)
         cfg = propagator.PropagatorConfig(dt=1e-3, t_end=0.1)
-        with pytest.raises(NumericalBlowup):
+        with pytest.raises(VerificationFailure, match="norm diverged at step 1$"):
             propagator.propagate(params, grid1024, cfg, h_provider=provider, n_samples=2)
 
     def test_trajectory_dump(self, params, grid1024, tmp_path):

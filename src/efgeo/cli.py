@@ -183,11 +183,11 @@ def _model_and_grid(cfg, times):
     params = model.ModelParams(**{key: cfg[key] for key in _MODEL_KEYS})
     grid = Grid1D(x_min=cfg["x_min"], x_max=cfg["x_max"], n=cfg["n"])
     narrowest = 1.0 / (3.0 * np.sqrt(params.mass))  # model.width where cos t = 0
-    points = narrowest / grid.dx
-    if not points >= MIN_POINTS_PER_WIDTH:
+    # compared as a product: narrowest / dx can overflow for a fine grid
+    if not narrowest >= MIN_POINTS_PER_WIDTH * grid.dx:
         raise ConfigError(
-            f"grid spacing dx = {grid.dx:.3g} gives {points:.3g} points across the narrowest "
-            f"packet width {narrowest:.3g}; need at least {MIN_POINTS_PER_WIDTH}"
+            f"grid spacing dx = {grid.dx:.3g} gives {narrowest / grid.dx:.3g} points across the "
+            f"narrowest packet width {narrowest:.3g}; need at least {MIN_POINTS_PER_WIDTH}"
         )
     centres = model.mean_position(times, params)
     widths = model.width(times, params)
@@ -206,8 +206,10 @@ def _model_and_grid(cfg, times):
 
 def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
     times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
-    # refuses a delta_t that is not positive before the stencil is built from it
-    identity.check_settings(cfg["delta_t"], cfg["rel_tol"], cfg["method"], cfg["mutation"])
+    # refuses a delta_t that is not positive, or too large, before the stencil is built from it
+    identity.check_settings(
+        cfg["t_end"], cfg["delta_t"], cfg["rel_tol"], cfg["method"], cfg["mutation"]
+    )
     # each sample also builds states at t +- delta_t and t +- 2 delta_t
     stencil = times[:, None] + cfg["delta_t"] * np.arange(-2, 3)
     params, grid = _model_and_grid(cfg, stencil.ravel())

@@ -17,6 +17,7 @@ references permute these indices differently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -179,7 +180,8 @@ def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> TwoLevelFamily:
 @dataclass(frozen=True)
 class TensorFieldSet:
     """All tensors of a family: connection a[mu], curvature b[mu,nu], metric
-    g[mu,nu], rank-3 c/d[mu,nu,tau] and the Christoffel symbol gamma."""
+    g[mu,nu], rank-3 c/d[mu,nu,tau] and, on first read, the Christoffel
+    symbol gamma."""
 
     grid: ParamGrid
     a: np.ndarray
@@ -187,9 +189,16 @@ class TensorFieldSet:
     g: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    gamma: np.ndarray
     # first derivatives of the spinor, which check_decompositions expands
     dphi: np.ndarray = field(default=None, repr=False)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        d = self.grid.d
+        out = np.zeros((d, d, d) + self.grid.shape)
+        for index, piece in _christoffel_pieces(self):
+            out[index] = piece
+        return out
 
 
 def _symmetric_derivatives(D, field, d):
@@ -206,6 +215,14 @@ def _symmetric_derivatives(D, field, d):
             for t in range(d):
                 table[m, n, t] = table[n, m, t] = D(f, t)
     return table
+
+
+def _christoffel_pieces(ts: TensorFieldSet):
+    """(mu, nu, tau) and gamma[mu,nu,tau], one component at a time, from one
+    table of the metric's derivatives."""
+    dg = _symmetric_derivatives(ts.grid.diff, lambda m, n: ts.g[m, n], ts.grid.d)
+    for mu, nu, tau in np.ndindex((ts.grid.d,) * 3):
+        yield (mu, nu, tau), 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
 
 
 def tensors(family: TwoLevelFamily) -> TensorFieldSet:
@@ -240,22 +257,13 @@ def tensors(family: TwoLevelFamily) -> TensorFieldSet:
     dten = np.zeros((d, d, d) + shape)
     for nu in range(d):
         for tau in range(d):
-            H = -1j * np.stack([D(G[tau][s], nu) for s in range(2)]) - A[nu] * G[tau]
+            H = [-1j * D(G[tau][s], nu) - A[nu] * G[tau][s] for s in range(2)]
             for mu in range(d):
                 bracket = np.conj(G[mu][0]) * H[0] + np.conj(G[mu][1]) * H[1]
                 c[mu, nu, tau] = bracket.real
                 dten[mu, nu, tau] = bracket.imag
 
-    dg = _symmetric_derivatives(D, lambda m, n: g[m, n], d)
-    gamma = np.zeros((d, d, d) + shape)
-    for mu in range(d):
-        for nu in range(d):
-            for tau in range(d):
-                gamma[mu, nu, tau] = 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
-
-    return TensorFieldSet(
-        grid=grid, a=A, b=b, g=g, c=c, d=dten, gamma=gamma, dphi=dphi,
-    )
+    return TensorFieldSet(grid=grid, a=A, b=b, g=g, c=c, d=dten, dphi=dphi)
 
 
 def _peak(residual):
@@ -293,8 +301,9 @@ def check_cb_identity(ts: TensorFieldSet) -> float:
 
 
 def check_d_christoffel(ts: TensorFieldSet) -> float:
-    pieces = (ts.d[i] + ts.gamma[i] for i in np.ndindex((ts.grid.d,) * 3))
-    return _report(map(_peak, pieces))
+    """Residual of d + gamma, one component at a time: gamma is never built
+    whole."""
+    return _report(_peak(ts.d[i] + piece) for i, piece in _christoffel_pieces(ts))
 
 
 def check_symmetries(ts: TensorFieldSet) -> dict:
@@ -314,23 +323,17 @@ def check_decompositions(ts: TensorFieldSet) -> dict:
     D = grid.diff
     dphi, A, g, b = ts.dphi, ts.a, ts.g, ts.b
 
-    ddphi = np.empty((d, d), dtype=object)
-    for nu in range(d):
-        for tau in range(d):
-            ddphi[nu, tau] = np.stack([D(dphi[tau][s], nu) for s in range(2)])
-
     dA = np.stack([np.stack([D(A[tau], nu) for tau in range(d)]) for nu in range(d)])
     dgaa = _symmetric_derivatives(D, lambda m, n: g[m, n] + A[m] * A[n], d)
 
-    # peaks of |residual| per piece: no full residual outlives its iteration
+    # peaks of |residual| per piece: no full residual outlives its iteration,
+    # and the spinor's second derivatives live for one (nu, tau)
     d_raw, c_raw, real_part = [], [], []
-    for mu in range(d):
-        for nu in range(d):
-            for tau in range(d):
-                raw = (
-                    np.conj(dphi[mu][0]) * ddphi[nu, tau][0]
-                    + np.conj(dphi[mu][1]) * ddphi[nu, tau][1]
-                )
+    for nu in range(d):
+        for tau in range(d):
+            ddphi = [D(dphi[tau][s], nu) for s in range(2)]
+            for mu in range(d):
+                raw = np.conj(dphi[mu][0]) * ddphi[0] + np.conj(dphi[mu][1]) * ddphi[1]
                 d_expected = (
                     -raw.real
                     - 0.5 * b[mu, nu] * A[tau]

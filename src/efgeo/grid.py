@@ -8,6 +8,7 @@ concurrently on shared inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,9 @@ class Grid1D:
             raise ConfigError(f"n = {self.n} outside [16, 2**53]")
         if not 0.0 < self.dx < np.inf:  # x_max > x_min, and no under- or overflow
             raise ConfigError(f"x_min = {self.x_min}, x_max = {self.x_max} give spacing dx = {self.dx}")
+        # the largest wavenumber is pi/dx, and fftfreq divides by n dx on the way
+        if not math.isfinite(2.0 * math.pi / self.dx):
+            raise ConfigError(f"spacing dx = {self.dx} is too small: 2 pi/dx overflows")
         # coordinate arrays are built once and shared by every reader, so
         # they are read-only: a write would change the grid for all of them
         x = self.x_min + self.dx * np.arange(self.n)

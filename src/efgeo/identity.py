@@ -14,6 +14,7 @@ requires.  The verdict between them is decided numerically, never assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -128,11 +129,14 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
     return np.linspace(t_start, t_end, samples)
 
 
-def check_settings(delta_t: float, rel_tol: float, method: str, mutation: str):
+def check_settings(t_end: float, delta_t: float, rel_tol: float, method: str, mutation: str):
     """Refuse settings with which verify cannot reach a verdict: a time step
-    or tolerance that is not positive, or an unknown method or mutation."""
+    or tolerance that is not positive, a time step whose stencil around t_end
+    overflows, or an unknown method or mutation."""
     if not delta_t > 0.0:
         raise ConfigError(f"delta_t must be positive, got {delta_t}")
+    if not math.isfinite(t_end + 2.0 * delta_t):
+        raise ConfigError(f"delta_t = {delta_t} is too large: t_end + 2 delta_t overflows")
     if not rel_tol > 0.0:
         raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
     if method not in DERIVATIVE_METHODS:
@@ -311,7 +315,7 @@ def verify(
     when neither reading meets rel_tol in the max norm relative to the peak
     rate.
     """
-    check_settings(delta_t, rel_tol, method, mutation)
+    check_settings(t_end, delta_t, rel_tol, method, mutation)
     times = sample_times(t_start, t_end, samples)
     lhs = np.empty(samples)
     terms_a = np.empty((4, samples))

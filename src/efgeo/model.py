@@ -52,6 +52,9 @@ class ModelParams:
         # a Python float product overflows to inf without a warning
         if not 1.0 / (3.0 * math.sqrt(self.mass)) * self.inertia > 0.0:
             raise ConfigError(f"inertia = {self.inertia} with mass = {self.mass}: sigma * inertia is 0")
+        # the drift phase of the model state scales with 2 / inertia
+        if not math.isfinite(2.0 / self.inertia):
+            raise ConfigError(f"inertia = {self.inertia} is too small: 2 / inertia overflows")
 
 
 @dataclass(frozen=True)

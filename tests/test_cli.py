@@ -228,6 +228,7 @@ BAD_INPUTS = {
     "zero_delta_t": lambda p: ["verify-identity", "--delta-t", "0"],
     # the sample stencil t + k delta_t would overflow to inf
     "huge_negative_delta_t": lambda p: ["verify-identity", "--delta-t=-1e308"],
+    "huge_delta_t": lambda p: ["verify-identity", "--delta-t", "1e308"],
     "zero_rel_tol": lambda p: ["verify-identity", "--rel-tol", "0"],
     "step_count_beyond_double": lambda p: ["propagate", "--t-end", "1e300"],
     # fails before any allocation: 2**53 int64 points need 64 PiB, more than
@@ -237,6 +238,16 @@ BAD_INPUTS = {
     "int_beyond_int64_for_float": lambda p: ["verify-identity", *_config(p, {"delta_t": 2 ** 63})],
     "underflowing_inertia": lambda p: ["propagate", "--inertia", "5e-324"],
     "underflowing_spacing": lambda p: ["emit-figure", "--x-min", "0", "--x-max", "5e-324"],
+    # the largest wavenumber pi/dx would overflow
+    "overflowing_wavenumbers": lambda p: ["emit-figure", "--x-min", "0", "--x-max", "1e-310"],
+    # narrowest/dx would overflow: a fine grid under a wide packet
+    "fine_grid_wide_packet": lambda p: [
+        "emit-figure", "--x-min", "0", "--x-max", "1.5e-304", "--mass", "1e-4"
+    ],
+    # 2 / inertia, the scale of the model's drift phase, would overflow
+    "overflowing_inertia": lambda p: [
+        "emit-figure", "--n", "512", "--samples", "2", "--t-end", "0.01", "--inertia", "1e-308"
+    ],
     # a convergence order is a fit through the sizes
     "repeated_sizes": lambda p: ["verify-tensors", "--sizes", "32,32"],
     "single_size": lambda p: ["verify-tensors", "--sizes", "64"],
@@ -260,6 +271,16 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("case, key", [
+    ("overflowing_inertia", "inertia = "),
+    ("overflowing_wavenumbers", "dx = "),
+    ("huge_delta_t", "delta_t = "),
+])
+def test_overflow_refusal_names_the_key(case, key, tmp_path, capsys):
+    assert run(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_domain_message_names_the_edges_and_the_packet_centre(tmp_path, capsys):
     assert run(["propagate", *_OFF_PACKET, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -281,15 +302,6 @@ def test_singular_gauge_mid_run_exits_2_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not any(out.iterdir()), name
-
-
-def test_non_finite_state_mid_run_leaves_no_output(tmp_path):
-    # 2 / inertia overflows in the drift phase, and the state check of the
-    # run refuses the resulting NaN spinor
-    out = tmp_path / "out"
-    args = ["--n", "512", "--samples", "2", "--t-end", "0.01", "--inertia", "1e-308"]
-    assert run(["emit-figure", *args, "--out", str(out)]) == 2
-    assert not any(out.iterdir())
 
 
 def test_subnormal_front_steepness_runs(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,111 @@ class TestIdentities:
         study = geo.convergence_study(geo.smooth_recipe(), sizes=(32, 48, 64), d=3)
         for name in geo.IDENTITY_NAMES:
             assert study[name]["order"] >= 3.5, name
+
+
+def _whole_stack_tensors(family):
+    """The tensors as whole stacks: H stacked over the spinor components and
+    the Christoffel symbol built eagerly.  Reference for the streamed code."""
+    grid, d, D = family.grid, family.grid.d, family.grid.diff
+    phi = family.spinor()
+    dphi = np.stack([np.stack([D(phi[s], mu) for s in range(2)]) for mu in range(d)])
+    A = np.stack(
+        [np.imag(np.conj(phi[0]) * dphi[mu][0] + np.conj(phi[1]) * dphi[mu][1]) for mu in range(d)]
+    )
+    G = np.stack([-1j * dphi[mu] - A[mu] * phi for mu in range(d)])
+    g = np.zeros((d, d) + grid.shape)
+    b = np.zeros((d, d) + grid.shape)
+    for mu in range(d):
+        for nu in range(d):
+            g[mu, nu] = np.real(np.conj(G[mu][0]) * G[nu][0] + np.conj(G[mu][1]) * G[nu][1])
+            if mu < nu:
+                b[mu, nu] = D(A[nu], mu) - D(A[mu], nu)
+                b[nu, mu] = -b[mu, nu]
+    c = np.zeros((d, d, d) + grid.shape)
+    dten = np.zeros((d, d, d) + grid.shape)
+    for nu in range(d):
+        for tau in range(d):
+            H = -1j * np.stack([D(G[tau][s], nu) for s in range(2)]) - A[nu] * G[tau]
+            for mu in range(d):
+                bracket = np.conj(G[mu][0]) * H[0] + np.conj(G[mu][1]) * H[1]
+                c[mu, nu, tau] = bracket.real
+                dten[mu, nu, tau] = bracket.imag
+    dg = {(m, n, t): D(g[m, n], t) for m, n, t in np.ndindex((d,) * 3)}
+    gamma = np.zeros((d, d, d) + grid.shape)
+    for mu, nu, tau in np.ndindex((d,) * 3):
+        gamma[mu, nu, tau] = 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
+    return {"a": A, "b": b, "g": g, "c": c, "d": dten, "gamma": gamma, "dphi": dphi}
+
+
+def _whole_stack_decompositions(ts):
+    """check_decompositions with every second derivative of the spinor held
+    at once and mu as the outer loop.  Reference for the streamed code."""
+    d, D = ts.grid.d, ts.grid.diff
+    dphi, A, g, b = ts.dphi, ts.a, ts.g, ts.b
+    ddphi = {(nu, tau): np.stack([D(dphi[tau][s], nu) for s in range(2)])
+             for nu, tau in np.ndindex(d, d)}
+    dgaa = {(m, n, t): D(g[m, n] + A[m] * A[n], t) for m, n, t in np.ndindex((d,) * 3)}
+    d_raw, c_raw, real_part = [], [], []
+    for mu, nu, tau in np.ndindex((d,) * 3):
+        raw = np.conj(dphi[mu][0]) * ddphi[nu, tau][0] + np.conj(dphi[mu][1]) * ddphi[nu, tau][1]
+        d_expected = (
+            -raw.real
+            - 0.5 * b[mu, nu] * A[tau]
+            - 0.5 * b[mu, tau] * A[nu]
+            + 0.5 * A[mu] * D(A[tau], nu)
+            + 0.5 * A[mu] * D(A[nu], tau)
+        )
+        d_raw.append(np.max(np.abs(ts.d[mu, nu, tau] - d_expected)))
+        c_expected = (
+            raw.imag
+            - A[mu] * g[nu, tau]
+            - A[nu] * g[mu, tau]
+            - A[tau] * g[mu, nu]
+            - A[mu] * A[nu] * A[tau]
+        )
+        c_raw.append(np.max(np.abs(ts.c[mu, nu, tau] - c_expected)))
+        rp = dgaa[mu, nu, tau] + dgaa[mu, tau, nu] - dgaa[nu, tau, mu]
+        real_part.append(np.max(np.abs(2.0 * raw.real - rp)))
+    return {
+        "d_raw_expansion": float(np.max(d_raw)),
+        "c_raw_expansion": float(np.max(c_raw)),
+        "real_part_identity": float(np.max(real_part)),
+    }
+
+
+class TestStreamedBench:
+    @pytest.mark.parametrize("recipe", sorted(geo.NAMED_RECIPES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_whole_stacks(self, d, recipe):
+        family = geo.build_family(geo.NAMED_RECIPES[recipe](), geo.ParamGrid((40,) * d))
+        ts = geo.tensors(family)
+        ref = _whole_stack_tensors(family)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(ts, name), value), name
+        gamma = ref["gamma"]
+        expected = _whole_stack_decompositions(ts)
+        expected["d_plus_christoffel"] = float(np.max(np.abs(ts.d + gamma)))
+        got = geo.check_decompositions(ts)
+        got["d_plus_christoffel"] = geo.check_d_christoffel(ts)
+        assert got == expected
+
+    def test_christoffel_check_leaves_gamma_unbuilt(self, smooth64):
+        _, ts = smooth64
+        geo.check_d_christoffel(ts)
+        assert "gamma" not in vars(ts)
+
+    def test_peak_memory_of_one_grid(self):
+        # the TensorFieldSet alone holds 87 real fields at d = 3; the whole
+        # stacks (eager gamma, every second derivative of the spinor) peaked
+        # at about 186
+        m = 40
+        tracemalloc.start()
+        try:
+            geo.identity_residuals(geo.smooth_recipe(), geo.ParamGrid((m,) * 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150 * 8 * m ** 3
 
 
 class TestNanResiduals:

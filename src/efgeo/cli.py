@@ -39,7 +39,7 @@ _DEFAULTS = {
     "verify-identity": {
         **_MODEL_KEYS, **_GRID_KEYS,
         "t_start": 0.0, "t_end": 10.0, "samples": 101,
-        "delta_t": 1e-4, "rel_tol": 1e-3, "method": "fd12", "mutation": None,
+        "delta_t": 1e-4, "rel_tol": 1e-3, "mutation": None,
     },
     "verify-tensors": {
         "recipes": "smooth,pure-gauge",
@@ -51,8 +51,7 @@ _DEFAULTS = {
     "emit-figure": {**_MODEL_KEYS, **_GRID_KEYS, "t_start": 0.0, "t_end": 10.0, "samples": 201},
     "propagate": {
         **_MODEL_KEYS, **_GRID_KEYS,
-        "dt": 1e-4, "t_end": 2.0, "h_update": "per-step",
-        "kinetic_precision": "extended", "n_samples": 11, "dump": False,
+        "dt": 1e-4, "t_end": 2.0, "n_samples": 11, "dump": False,
     },
 }
 
@@ -208,7 +207,7 @@ def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
     times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
     # refuses a delta_t that is not positive, or too large, before the stencil is built from it
     identity.check_settings(
-        cfg["t_end"], cfg["delta_t"], cfg["rel_tol"], cfg["method"], cfg["mutation"]
+        cfg["t_start"], cfg["t_end"], cfg["delta_t"], cfg["rel_tol"], cfg["mutation"]
     )
     # each sample also builds states at t +- delta_t and t +- 2 delta_t
     stencil = times[:, None] + cfg["delta_t"] * np.arange(-2, 3)
@@ -218,7 +217,7 @@ def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
             params, grid,
             t_start=cfg["t_start"], t_end=cfg["t_end"], samples=cfg["samples"],
             delta_t=cfg["delta_t"], rel_tol=cfg["rel_tol"],
-            mutation=cfg["mutation"], method=cfg["method"],
+            mutation=cfg["mutation"],
         )
         failed = False
     except VerificationFailure as err:
@@ -239,6 +238,8 @@ def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
+    if not cfg["tol"] > 0.0:
+        raise ConfigError(f"tol must be positive, got {cfg['tol']}")
     sizes, recipes = _tensor_lists(cfg)
     report = {"recipes": {}, "passed": True}
     for name in recipes:
@@ -281,10 +282,7 @@ def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_propagate(cfg: dict, out_dir: Path) -> int:
-    prop_cfg = propagator.PropagatorConfig(
-        dt=cfg["dt"], t_end=cfg["t_end"], h_update=cfg["h_update"],
-        kinetic_precision=cfg["kinetic_precision"],
-    )
+    prop_cfg = propagator.PropagatorConfig(dt=cfg["dt"], t_end=cfg["t_end"])
     samples = propagator.sample_steps(prop_cfg.steps, cfg["n_samples"])
     params, grid = _model_and_grid(cfg, np.asarray(samples) * prop_cfg.dt)
     dump_path = out_dir / "trajectory.csv" if cfg["dump"] else None

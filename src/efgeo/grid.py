@@ -18,11 +18,8 @@ from .errors import ConfigError
 # Central first-derivative stencils: f'_i ~ sum_j c_j (f_{i+j} - f_{i-j}) / dx.
 _D1_COEFFS = {
     "fd4": (2 / 3, -1 / 12),
-    "fd8": (4 / 5, -1 / 5, 4 / 105, -1 / 280),
     "fd12": (6 / 7, -15 / 56, 5 / 63, -1 / 56, 1 / 385, -1 / 5544),
 }
-# every method Grid1D.derivative accepts
-DERIVATIVE_METHODS = ("spectral", *_D1_COEFFS)
 
 
 def central_difference(f, coeffs, h, axis=-1, step=1):

@@ -21,9 +21,14 @@ import numpy as np
 
 from . import ef, model
 from .errors import ConfigError, VerificationFailure
-from .grid import DERIVATIVE_METHODS, Grid1D, five_point
+from .grid import Grid1D, five_point
 
 MUTATIONS = ("flip_t1", "flip_t2", "flip_t3", "flip_t4", "drop_weight_t1")
+# the conditional spinor is not periodic across the wrap, so every spatial
+# derivative of the identity is a local 12th-order stencil
+METHOD = "fd12"
+# the model's front term 1 + 3t vanishes here; no state is built at or before it
+MODEL_EDGE = -1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
     """Uniform sample times over [t_start, t_end], both ends included.
 
     The model starts at t = 0: its front terms 1 + t and 1 + 3t vanish at
-    t = -1 and t = -1/3.
+    t = -1 and t = MODEL_EDGE = -1/3.
     """
     if not t_start >= 0.0:
         raise ConfigError(f"t_start = {t_start} is negative; the model starts at t = 0")
@@ -129,20 +134,22 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
     return np.linspace(t_start, t_end, samples)
 
 
-def check_settings(t_end: float, delta_t: float, rel_tol: float, method: str, mutation: str):
+def check_settings(t_start: float, t_end: float, delta_t: float, rel_tol: float, mutation: str):
     """Refuse settings with which verify cannot reach a verdict: a time step
-    or tolerance that is not positive, a time step whose stencil around t_end
-    overflows, or an unknown method or mutation."""
+    or tolerance that is not positive, a time step whose stencil reaches
+    MODEL_EDGE below t_start or overflows above t_end, or an unknown mutation."""
     if not delta_t > 0.0:
         raise ConfigError(f"delta_t must be positive, got {delta_t}")
+    if not t_start - 2.0 * delta_t > MODEL_EDGE:
+        raise ConfigError(
+            f"delta_t = {delta_t} is too large: its stencil reaches t_start - 2 delta_t = "
+            f"{t_start - 2.0 * delta_t:.6g} with t_start = {t_start}, at or below the "
+            "model's edge t = -1/3"
+        )
     if not math.isfinite(t_end + 2.0 * delta_t):
         raise ConfigError(f"delta_t = {delta_t} is too large: t_end + 2 delta_t overflows")
     if not rel_tol > 0.0:
         raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
-    if method not in DERIVATIVE_METHODS:
-        raise ConfigError(
-            f"unknown derivative method {method!r}; choose from {list(DERIVATIVE_METHODS)}"
-        )
     _check_mutation(mutation)
 
 
@@ -151,38 +158,36 @@ def _check_mutation(mutation):
         raise ConfigError(f"unknown mutation {mutation!r}")
 
 
-def _decompose_at(params, grid, t, method="fd12"):
+def _decompose_at(params, grid, t):
     psi = model.assemble_psi(t, grid, params)
-    return ef.decompose(psi, inertia=params.inertia, method=method)
+    return ef.decompose(psi, inertia=params.inertia, method=METHOD)
 
 
 def _masked_integral(grid, values, mask):
     return grid.dx * float(np.sum(values[mask]))
 
 
-def t_geo_series(params, grid: Grid1D, times, method="fd12") -> np.ndarray:
+def t_geo_series(params, grid: Grid1D, times) -> np.ndarray:
     """Geometric kinetic energy of the model state at each requested time."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty(times.size)
     for i, t in enumerate(times):
-        out[i] = ef.geometric_energy(_decompose_at(params, grid, t, method))
+        out[i] = ef.geometric_energy(_decompose_at(params, grid, t))
     return out
 
 
-def _rate_local(params, grid, t, delta_t, method="fd12") -> float:
+def _rate_local(params, grid, t, delta_t) -> float:
     """dT_geo/dt at one time from a 5-point central stencil around t."""
-    vals = t_geo_series(
-        params, grid, [t - 2 * delta_t, t - delta_t, t + delta_t, t + 2 * delta_t], method
-    )
+    vals = t_geo_series(params, grid, [t - 2 * delta_t, t - delta_t, t + delta_t, t + 2 * delta_t])
     return float(five_point(*vals, delta_t))
 
 
 def _potential_gradient(dec, ham):
     """Spatial gradient of the 2x2 potential as its entries (up, off, dn)."""
-    grid, method = dec.grid, dec.method
-    dh0 = grid.derivative(ham.h0, 1, method)
-    dh1 = grid.derivative(ham.h1, 1, method)
-    dh3 = grid.derivative(ham.h3, 1, method)
+    grid = dec.grid
+    dh0 = grid.derivative(ham.h0, 1, METHOD)
+    dh1 = grid.derivative(ham.h1, 1, METHOD)
+    dh3 = grid.derivative(ham.h3, 1, METHOD)
     return dh0 + dh3, dh1, dh0 - dh3
 
 
@@ -199,8 +204,7 @@ _SIGNS = {"flip_t1": (-1, 1, 1, 1), "flip_t2": (1, -1, 1, 1),
           "flip_t3": (1, 1, -1, 1), "flip_t4": (1, 1, 1, -1)}
 
 
-def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None,
-              method: str = "fd12") -> dict:
+def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None) -> dict:
     """The four right-hand-side integrals at time t, as {"A": RhsTerms,
     "B": RhsTerms}.
 
@@ -209,7 +213,7 @@ def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None,
     and reading A weights them by 1.0, which leaves every bit unchanged.
     """
     _check_mutation(mutation)
-    dec = _decompose_at(params, grid, t, method)
+    dec = _decompose_at(params, grid, t)
     ham = model.hamiltonian_entries(t, grid, params)
     I = params.inertia
     mask = dec.mask
@@ -229,10 +233,10 @@ def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None,
     if mutation != "drop_weight_t1":
         t1_density = t1_density * dec.chi2
     t1 = -I * _masked_integral(grid, t1_density, mask)
-    flux = grid.derivative(dec.c_tensor * dec.chi2, 1, method)
+    flux = grid.derivative(dec.c_tensor * dec.chi2, 1, METHOD)
     t3 = -0.5 * I * I * _masked_integral(grid, flux, mask)
     t2_density = dec.connection * sand_pop
-    t4_density = dec.metric * grid.derivative(dec.connection, 1, method)
+    t4_density = dec.metric * grid.derivative(dec.connection, 1, METHOD)
 
     s = _SIGNS.get(mutation, (1, 1, 1, 1))
     terms = {}
@@ -259,7 +263,7 @@ def rhs_general(params, grid: Grid1D, t: float) -> GeneralFormTerms:
 
     ratio = np.divide(dec.current, dec.chi2, out=np.zeros_like(dec.chi2), where=dec.chi2 > 0)
     transport = -I * _masked_integral(
-        grid, dec.chi2 * dec.metric * grid.derivative(ratio, 1, dec.method), mask
+        grid, dec.chi2 * dec.metric * grid.derivative(ratio, 1, METHOD), mask
     )
     return GeneralFormTerms(force=force, curvature=curvature, transport=transport)
 
@@ -277,7 +281,7 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5) -> Po
     I = params.inertia
     ham = model.hamiltonian_entries(t, grid, params)
     force_density = _force_density(dec, ham)
-    D = lambda f: grid.derivative(f, 1, dec.method)
+    D = lambda f: grid.derivative(f, 1, METHOD)
     dlog_chi2 = np.divide(D(dec.chi2), dec.chi2, out=np.zeros_like(dec.chi2), where=dec.chi2 > 0)
     rhs = (
         -I * force_density
@@ -306,7 +310,6 @@ def verify(
     delta_t: float = 1e-4,
     rel_tol: float = 1e-3,
     mutation: str = None,
-    method: str = "fd12",
 ) -> IdentityReport:
     """Evaluate both sides over a time range and adjudicate the readings.
 
@@ -315,14 +318,14 @@ def verify(
     when neither reading meets rel_tol in the max norm relative to the peak
     rate.
     """
-    check_settings(t_end, delta_t, rel_tol, method, mutation)
+    check_settings(t_start, t_end, delta_t, rel_tol, mutation)
     times = sample_times(t_start, t_end, samples)
     lhs = np.empty(samples)
     terms_a = np.empty((4, samples))
     terms_b = np.empty((4, samples))
     for i, t in enumerate(times):
-        lhs[i] = _rate_local(params, grid, t, delta_t, method)
-        terms = rhs_terms(params, grid, t, mutation, method)
+        lhs[i] = _rate_local(params, grid, t, delta_t)
+        terms = rhs_terms(params, grid, t, mutation)
         terms_a[:, i] = astuple(terms["A"])
         terms_b[:, i] = astuple(terms["B"])
     report = IdentityReport(
@@ -333,7 +336,7 @@ def verify(
             "params": {"eta": params.eta, "mass": params.mass,
                        "gamma": params.gamma, "inertia": params.inertia},
             "delta_t": delta_t,
-            "method": method,
+            "method": METHOD,
         },
     )
     if not report.passed:

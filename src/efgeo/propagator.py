@@ -4,15 +4,15 @@ Each step factors the evolution into an exact pointwise 2x2 potential
 half-step (closed-form Pauli exponential), a full kinetic step applied in
 Fourier space, and a second potential half-step.  Every factor is unitary,
 so the norm is conserved to roundoff.  The potential entries are sampled at
-the step midpoint by default, which keeps the scheme second order for
-time-dependent entries; both half-steps then share one potential factor,
-built once per step (per-half-step sampling builds one per half-step).
+the step midpoint, which keeps the scheme second order for time-dependent
+entries; both half-steps then share one potential factor, built once per
+step.
 
 Double-precision FFT round trips carry a small systematic gain bias
 (measured around 2e-16 per step at n = 4096), which accumulates coherently
 and would dominate the norm drift over long runs.  The kinetic factor is
-therefore applied in long-double precision by default; the per-step rounding
-back to double is unbiased and the drift stays at the random-walk level.
+therefore applied in long-double precision; the per-step rounding back to
+double is unbiased and the drift stays at the random-walk level.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ HORIZON_REL_TOL = 1e-9  # largest |steps * dt - t_end| / t_end accepted
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Step size, horizon and sampling of one Strang propagation run."""
+    """Step size and horizon of one Strang propagation run."""
 
     dt: float
     t_end: float
-    h_update: str = "per-step"  # sample h at midpoint once, or per half-step
-    kinetic_precision: str = "extended"  # "extended" (long double) or "double"
 
     def __post_init__(self):
         if not 0.0 < self.dt < np.inf:
@@ -47,10 +45,6 @@ class PropagatorConfig:
             raise ConfigError(f"t_end / dt = {self.t_end / self.dt:.3g} steps exceeds 2**53")
         if abs(self.steps * self.dt - self.t_end) > HORIZON_REL_TOL * self.t_end:
             raise ConfigError(f"t_end = {self.t_end} is not a whole number of steps dt = {self.dt}")
-        if self.h_update not in ("per-step", "per-half-step"):
-            raise ConfigError(f"unknown h_update {self.h_update!r}")
-        if self.kinetic_precision not in ("extended", "double"):
-            raise ConfigError(f"unknown kinetic_precision {self.kinetic_precision!r}")
         if self.dt > DT_MAX:
             raise VerificationFailure(f"dt = {self.dt} exceeds the guard {DT_MAX}")
 
@@ -106,31 +100,25 @@ def _apply_potential(psi1, psi2, factor):
     return new1, new2
 
 
-def _kinetic_phase(grid, dt, inertia, precision):
-    if precision == "extended":
-        theta = (0.5 * dt * inertia) * grid.wavenumbers.astype(np.longdouble) ** 2
-        return np.cos(theta) - 1j * np.sin(theta)  # clongdouble
-    return np.exp(-0.5j * dt * inertia * grid.wavenumbers ** 2)
+def _kinetic_phase(grid, dt, inertia):
+    theta = (0.5 * dt * inertia) * grid.wavenumbers.astype(np.longdouble) ** 2
+    return np.cos(theta) - 1j * np.sin(theta)  # clongdouble
 
 
 def _kinetic_full(psi1, psi2, phase):
-    if phase.dtype == np.clongdouble:
-        # imported on first use: only this step needs scipy, whose import
-        # is most of the package's import time (numpy.fft is slower here)
-        import scipy.fft as sfft
+    # imported on first use: only this step needs scipy, whose import is
+    # most of the package's import time (numpy.fft is slower here)
+    import scipy.fft as sfft
 
-        extended = lambda p: sfft.ifft(phase * sfft.fft(p.astype(np.clongdouble))).astype(complex)
-        return extended(psi1), extended(psi2)
-    return np.fft.ifft(phase * np.fft.fft(psi1)), np.fft.ifft(phase * np.fft.fft(psi2))
+    extended = lambda p: sfft.ifft(phase * sfft.fft(p.astype(np.clongdouble))).astype(complex)
+    return extended(psi1), extended(psi2)
 
 
-def _step_arrays(psi1, psi2, t, dt, h_provider, kin_phase, h_update):
-    per_step = h_update == "per-step"
-    factor = _potential_factor(*h_provider(t + (0.5 if per_step else 0.25) * dt), 0.5 * dt)
+def _step_arrays(psi1, psi2, t, dt, h_provider, kin_phase):
+    # both half-steps share h at the midpoint and tau, so one factor
+    factor = _potential_factor(*h_provider(t + 0.5 * dt), 0.5 * dt)
     psi1, psi2 = _apply_potential(psi1, psi2, factor)
     psi1, psi2 = _kinetic_full(psi1, psi2, kin_phase)
-    if not per_step:  # per-step: both half-steps share h and tau, so one factor
-        factor = _potential_factor(*h_provider(t + 0.75 * dt), 0.5 * dt)
     return _apply_potential(psi1, psi2, factor)
 
 
@@ -169,7 +157,7 @@ def propagate(
     if reference is None:
         reference = lambda t: model.assemble_psi(t, grid, params)
 
-    kin_phase = _kinetic_phase(grid, cfg.dt, params.inertia, cfg.kinetic_precision)
+    kin_phase = _kinetic_phase(grid, cfg.dt, params.inertia)
 
     psi1 = initial.psi1.astype(complex)
     psi2 = initial.psi2.astype(complex)
@@ -199,7 +187,7 @@ def propagate(
                 next_sample = next(sample_iter, None)
             if step_idx == n_steps:
                 break
-            psi1, psi2 = _step_arrays(psi1, psi2, t, cfg.dt, h_provider, kin_phase, cfg.h_update)
+            psi1, psi2 = _step_arrays(psi1, psi2, t, cfg.dt, h_provider, kin_phase)
             norm = grid.dx * (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2))
             if not np.isfinite(norm):
                 raise VerificationFailure(f"norm diverged at step {step_idx + 1}")
@@ -239,11 +227,11 @@ def _record(state, ref, params, times, l2s, chi2s, ws, tgeos, t):
     times.append(t)
 
 
-def convergence_order(params, grid: Grid1D, dts, t_end: float, h_update="per-step") -> dict:
+def convergence_order(params, grid: Grid1D, dts, t_end: float) -> dict:
     """Final-time L2 error for each dt plus the fitted convergence order."""
     errors = []
     for dt in dts:
-        cfg = PropagatorConfig(dt=dt, t_end=t_end, h_update=h_update)
+        cfg = PropagatorConfig(dt=dt, t_end=t_end)
         res = propagate(params, grid, cfg, n_samples=2)
         errors.append(res.l2_errors[-1])
     order = float(np.polyfit(np.log(np.asarray(dts, dtype=float)), np.log(np.asarray(errors)), 1)[0])

@@ -24,6 +24,16 @@ def report(num, desc, ok, detail=""):
     return ok
 
 
+def _bench_checks():
+    """The benchmark's output checks, with its references and tolerances."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import checks
+
+    return checks
+
+
 def test_criterion_1_main_identity(params, grid4096):
     start = time.perf_counter()
     rep = identity.verify(
@@ -53,11 +63,7 @@ def test_criterion_1_main_identity(params, grid4096):
 
     # the same run is the benchmark's identity workload at seed 0: hold its
     # report to the benchmark's reference, read in place, at its tolerance
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    if str(bench) not in sys.path:
-        sys.path.insert(0, str(bench))
-    import checks
-
+    checks = _bench_checks()
     reference = json.loads((checks.REFERENCE / "identity" / "report.json").read_text())
     got = json.loads(json.dumps(rep.to_dict()))
     assert checks.json_mismatches(got, reference, checks.REPORT_REL_TOL) == []
@@ -163,6 +169,23 @@ def test_criterion_6_propagator_cross_check(params, grid4096, convergence_study)
     assert l2 <= 1e-3
     assert 1.8 <= order <= 2.2
     assert res.norm_drift <= 1e-12
+
+
+def test_propagate_workload_matches_benchmark_reference(tmp_path):
+    # the benchmark's propagate workload at seed 0 (1000 steps), through the
+    # CLI: hold its outputs to the benchmark's reference, read in place
+    checks = _bench_checks()
+    import workloads
+
+    out = tmp_path / "propagate"
+    assert cli.main([*workloads.cli_args("propagate", 0), "--out", str(out)]) == 0
+    ref = checks.REFERENCE / "propagate"
+    got = json.loads((out / "report.json").read_text())
+    reference = json.loads((ref / "report.json").read_text())
+    assert checks.json_mismatches(got, reference, checks.REPORT_REL_TOL) == []
+    assert checks.csv_mismatches(
+        out / "error_series.csv", ref / "error_series.csv", checks.SERIES_ABS_TOL
+    ) == []
 
 
 def test_criterion_7_figure_reproduction(params, tmp_path):

@@ -80,11 +80,24 @@ class TestVerifyIdentity:
         assert run(["verify-identity", "--config", str(cfg),
                     "--out", str(tmp_path / "x")]) == 2
 
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "extra.json"
-        cfg.write_text(json.dumps({"etaa": 0.1}))
-        assert run(["verify-identity", "--config", str(cfg),
-                    "--out", str(tmp_path / "x")]) == 2
+    def test_unknown_config_key(self, tmp_path, capsys):
+        # a misspelt key, and the retired keys method, h_update and
+        # kinetic_precision as an old config file holds them
+        cases = [
+            ("verify-identity", "etaa", 0.1),
+            ("verify-identity", "method", "fd12"),
+            ("propagate", "h_update", "per-step"),
+            ("propagate", "kinetic_precision", "extended"),
+        ]
+        for command, key, value in cases:
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: value}))
+            out = tmp_path / key
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: unknown config keys")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_invalid_parameter_value(self, tmp_path):
         assert run(["verify-identity", "--eta", "0.7",
@@ -223,13 +236,20 @@ BAD_INPUTS = {
     "identity_domain_misses_packet": lambda p: ["verify-identity", *_OFF_PACKET],
     "figure_domain_misses_packet": lambda p: ["emit-figure", *_OFF_PACKET],
     "propagate_domain_misses_packet": lambda p: ["propagate", *_OFF_PACKET],
-    "unknown_method": lambda p: ["verify-identity", "--method", "foo"],
     "unknown_mutation": lambda p: ["verify-identity", "--mutation", "foo"],
     "zero_delta_t": lambda p: ["verify-identity", "--delta-t", "0"],
     # the sample stencil t + k delta_t would overflow to inf
     "huge_negative_delta_t": lambda p: ["verify-identity", "--delta-t=-1e308"],
     "huge_delta_t": lambda p: ["verify-identity", "--delta-t", "1e308"],
     "zero_rel_tol": lambda p: ["verify-identity", "--rel-tol", "0"],
+    # the stencil t - 2 delta_t would reach the model's edge at t = -1/3
+    "delta_t_past_model_edge": lambda p: [
+        "verify-identity", "--delta-t", "0.5", "--t-end", "1", "--samples", "3", "--n", "1024"
+    ],
+    "delta_t_far_past_model_edge": lambda p: ["verify-identity", "--delta-t", "1e300"],
+    "negative_tensor_tol": lambda p: [
+        "verify-tensors", "--tol=-1", "--dimension", "1", "--sizes", "32,40"
+    ],
     "step_count_beyond_double": lambda p: ["propagate", "--t-end", "1e300"],
     # fails before any allocation: 2**53 int64 points need 64 PiB, more than
     # any address space holds
@@ -275,6 +295,7 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     ("overflowing_inertia", "inertia = "),
     ("overflowing_wavenumbers", "dx = "),
     ("huge_delta_t", "delta_t = "),
+    ("delta_t_far_past_model_edge", "delta_t = "),
 ])
 def test_overflow_refusal_names_the_key(case, key, tmp_path, capsys):
     assert run(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "out")]) == 2
@@ -424,10 +445,7 @@ _VALUES = {
     "dimension": st.integers(-1, 4),
     "sizes": st.one_of(_SIZES, st.text(alphabet=" ,-x", max_size=5)),
     "recipes": st.one_of(_RECIPES.map(",".join), st.text(max_size=5)),
-    "method": st.one_of(st.sampled_from(["spectral", "fd4", "fd8", "fd12"]), st.text(max_size=5)),
     "mutation": st.one_of(st.sampled_from(identity.MUTATIONS), st.text(max_size=5)),
-    "h_update": st.one_of(st.sampled_from(["per-step", "per-half-step"]), st.text(max_size=5)),
-    "kinetic_precision": st.one_of(st.sampled_from(["extended", "double"]), st.text(max_size=5)),
 }
 # a number or a digit string could make a size-like key arbitrarily large
 _SIZE_LIKE = ("n", "samples", "n_samples", "t_end", "dt", "dimension", "sizes")

@@ -161,8 +161,10 @@ class TestVerify:
         with pytest.raises(ConfigError):
             identity.verify(params, grid4096, 1.0, 1.0, samples=1)
 
+    # delta_t = 0.2: the stencil around t_start = 0 reaches t = -0.4, past the
+    # model's edge at -1/3
     @pytest.mark.parametrize("bad", [{"delta_t": 0.0}, {"rel_tol": 0.0},
-                                     {"method": "fd5"}, {"mutation": "flip_t9"}])
+                                     {"delta_t": 0.2}, {"mutation": "flip_t9"}])
     def test_unusable_settings_rejected(self, params, grid4096, bad):
         with pytest.raises(ConfigError):
             identity.verify(params, grid4096, **bad)

@@ -36,8 +36,6 @@ class TestConfig:
             propagator.PropagatorConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ConfigError):
             propagator.PropagatorConfig(dt=1e-4, t_end=-1.0)
-        with pytest.raises(ConfigError):
-            propagator.PropagatorConfig(dt=1e-4, t_end=1.0, h_update="sometimes")
 
     def test_accuracy_guard(self):
         with pytest.raises(VerificationFailure, match="exceeds the guard"):
@@ -126,27 +124,22 @@ def _old_potential_half(psi1, psi2, h0, h1, h3, tau):
     return new1, new2
 
 
-def _old_step_arrays(psi1, psi2, t, dt, h_provider, kin_phase, h_update):
-    per_step = h_update == "per-step"
-    h = h_provider(t + (0.5 if per_step else 0.25) * dt)
+def _old_step_arrays(psi1, psi2, t, dt, h_provider, kin_phase):
+    h = h_provider(t + 0.5 * dt)
     psi1, psi2 = _old_potential_half(psi1, psi2, *h, 0.5 * dt)
     psi1, psi2 = propagator._kinetic_full(psi1, psi2, kin_phase)
-    if not per_step:
-        h = h_provider(t + 0.75 * dt)
     return _old_potential_half(psi1, psi2, *h, 0.5 * dt)
 
 
-@pytest.mark.parametrize("h_update", ["per-step", "per-half-step"])
-@pytest.mark.parametrize("precision", ["extended", "double"])
-def test_step_keeps_the_bits_of_two_full_half_steps(params, grid1024, h_update, precision):
+def test_step_keeps_the_bits_of_two_full_half_steps(params, grid1024):
     dt = 1e-3
     provider = propagator.model_h_provider(params, grid1024)
-    kin_phase = propagator._kinetic_phase(grid1024, dt, params.inertia, precision)
+    kin_phase = propagator._kinetic_phase(grid1024, dt, params.inertia)
     state = model.assemble_psi(0.0, grid1024, params)
     new = old = (state.psi1, state.psi2)
     for step in range(5):
-        new = propagator._step_arrays(*new, step * dt, dt, provider, kin_phase, h_update)
-        old = _old_step_arrays(*old, step * dt, dt, provider, kin_phase, h_update)
+        new = propagator._step_arrays(*new, step * dt, dt, provider, kin_phase)
+        old = _old_step_arrays(*old, step * dt, dt, provider, kin_phase)
         assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 
 
@@ -227,12 +220,6 @@ class TestModelPropagation:
         assert convergence_study["dts"] == [8e-4, 4e-4, 2e-4]
         assert 1.8 <= convergence_study["order"] <= 2.2
 
-    def test_half_step_sampling_also_second_order(self, params, grid4096):
-        study = propagator.convergence_order(
-            params, grid4096, (8e-4, 4e-4), t_end=0.2, h_update="per-half-step"
-        )
-        assert 1.8 <= study["order"] <= 2.2
-
     def test_zero_horizon_is_identity(self, params, grid4096):
         cfg = propagator.PropagatorConfig(dt=1e-4, t_end=0.0)
         res = propagator.propagate(params, grid4096, cfg, n_samples=2)
@@ -245,11 +232,6 @@ class TestModelPropagation:
         ref = model.assemble_psi(1e-4, grid4096, params)
         diff2 = np.abs(stepped.psi1 - ref.psi1) ** 2 + np.abs(stepped.psi2 - ref.psi2) ** 2
         assert np.sqrt(grid4096.integrate(diff2)) <= 1e-9
-
-    def test_double_precision_kinetic_still_accurate(self, params, grid4096):
-        cfg = propagator.PropagatorConfig(dt=4e-4, t_end=0.2, kinetic_precision="double")
-        res = propagator.propagate(params, grid4096, cfg, n_samples=2)
-        assert res.l2_errors[-1] <= 1e-5
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detected(self, params, grid1024):

@@ -11,12 +11,11 @@ tensor identities on synthetic families.
 from .ef import EFDecomposition, KineticPartition, TwoComponentWavefunction, decompose, energies
 from .errors import ConfigError, ResolutionWarning, VerificationFailure
 from .grid import Grid1D
-from .model import BlochState, HamiltonianFields, ModelParams
+from .model import HamiltonianFields, ModelParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochState",
     "ConfigError",
     "EFDecomposition",
     "Grid1D",

@@ -74,8 +74,16 @@ def _add_override_flags(sub, defaults):
             sub.add_argument(flag, type=kind, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as a ConfigError, which main reports in one
+    line with exit 2; the subcommand parsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="efgeo",
         description="Geometric kinetic-energy verification suites for two-component systems",
     )
@@ -322,9 +330,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,27 +17,26 @@ references permute these indices differently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import central_difference
+from .grid import _D1_COEFFS, central_difference
 
 _W_BOUND = 1.0 - 1e-3
 
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Periodic uniform grid over a d-dimensional parameter manifold.
+    """Periodic uniform grid of period 2 pi along each axis of a
+    d-dimensional parameter manifold.
 
     d = 2 and d = 3 are the verification targets; d = 1 is allowed as the
     embedding used to cross-check the 1D module on identical fields.
     """
 
     shape: tuple
-    lengths: tuple = None
 
     def __post_init__(self):
         shape = tuple(int(m) for m in self.shape)
@@ -46,11 +45,6 @@ class ParamGrid:
             raise ConfigError(f"dimension {len(shape)} not in 1..3")
         if any(m < 32 for m in shape):
             raise ConfigError(f"need >= 32 points per axis, got {shape}")
-        lengths = self.lengths or (2.0 * np.pi,) * len(shape)
-        lengths = tuple(float(L) for L in lengths)
-        if len(lengths) != len(shape) or any(L <= 0 for L in lengths):
-            raise ConfigError("lengths must be positive, one per axis")
-        object.__setattr__(self, "lengths", lengths)
 
     @property
     def d(self) -> int:
@@ -58,15 +52,17 @@ class ParamGrid:
 
     @property
     def spacings(self) -> tuple:
-        return tuple(L / m for L, m in zip(self.lengths, self.shape))
+        return tuple(2.0 * np.pi / m for m in self.shape)
 
     def meshes(self):
         axes = [h * np.arange(m) for h, m in zip(self.spacings, self.shape)]
         return np.meshgrid(*axes, indexing="ij")
 
     def diff(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """4th-order central derivative along one axis, periodic wrap."""
-        return central_difference(values, (8.0, -1.0), 12.0 * self.spacings[axis], axis, 1)
+        """4th-order central derivative along one axis, periodic wrap: the
+        stencil of Grid1D's fd4."""
+        coeffs, scale = _D1_COEFFS["fd4"]
+        return central_difference(values, coeffs, scale * self.spacings[axis], axis, 1)
 
 
 @dataclass(frozen=True)
@@ -113,19 +109,14 @@ def _const(value):
     return f
 
 
-def pure_gauge_recipe(mode: int = 1) -> FamilyRecipe:
-    """Constant Bloch angles with a linear (grid-eigenmode) gauge phase.
+def pure_gauge_recipe() -> FamilyRecipe:
+    """Constant Bloch angles with the linear (grid-eigenmode) gauge phase
+    a = Q^1, periodic over the 2 pi axis.
 
     For a linear phase every discrete tensor vanishes identically, so the
     identity residuals are exactly zero.
     """
-    if mode != int(mode):
-        raise ConfigError("pure gauge mode must be an integer to stay periodic")
-
-    def a(*Q):
-        return float(mode) * Q[0]
-
-    return FamilyRecipe(w=_const(0.3), phi=_const(0.4), a=a)
+    return FamilyRecipe(w=_const(0.3), phi=_const(0.4), a=lambda *Q: Q[0])
 
 
 def constant_recipe() -> FamilyRecipe:
@@ -180,8 +171,8 @@ def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> TwoLevelFamily:
 @dataclass(frozen=True)
 class TensorFieldSet:
     """All tensors of a family: connection a[mu], curvature b[mu,nu], metric
-    g[mu,nu], rank-3 c/d[mu,nu,tau] and, on first read, the Christoffel
-    symbol gamma."""
+    g[mu,nu] and rank-3 c/d[mu,nu,tau].  The Christoffel symbol is never
+    held whole: _christoffel_pieces yields it one component at a time."""
 
     grid: ParamGrid
     a: np.ndarray
@@ -190,15 +181,7 @@ class TensorFieldSet:
     c: np.ndarray
     d: np.ndarray
     # first derivatives of the spinor, which check_decompositions expands
-    dphi: np.ndarray = field(default=None, repr=False)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        d = self.grid.d
-        out = np.zeros((d, d, d) + self.grid.shape)
-        for index, piece in _christoffel_pieces(self):
-            out[index] = piece
-        return out
+    dphi: np.ndarray = field(repr=False)
 
 
 def _symmetric_derivatives(D, field, d):
@@ -377,7 +360,7 @@ def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid) -> dict:
     return out
 
 
-def convergence_study(recipe: FamilyRecipe, sizes=(64, 128, 256), d: int = 2) -> dict:
+def convergence_study(recipe: FamilyRecipe, sizes, d: int) -> dict:
     """Identity residuals across grid refinements with fitted orders.
 
     Returns {identity: {"sizes": [...], "max_abs": [...], "order": slope}}.

@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Central first-derivative stencils: f'_i ~ sum_j c_j (f_{i+j} - f_{i-j}) / dx.
+# Central first-derivative stencils (c, s) of both finite-difference layers:
+# f'_i ~ sum_j c_j (f_{i+j} - f_{i-j}) / (s dx).
 _D1_COEFFS = {
-    "fd4": (2 / 3, -1 / 12),
-    "fd12": (6 / 7, -15 / 56, 5 / 63, -1 / 56, 1 / 385, -1 / 5544),
+    "fd4": ((8.0, -1.0), 12.0),
+    "fd12": ((6 / 7, -15 / 56, 5 / 63, -1 / 56, 1 / 385, -1 / 5544), 1.0),
 }
 
 
@@ -113,7 +114,8 @@ class Grid1D:
         """
         f = _validated(self, values)
         if method in _D1_COEFFS and order == 1:
-            return central_difference(f, _D1_COEFFS[method], self.dx)
+            coeffs, scale = _D1_COEFFS[method]
+            return central_difference(f, coeffs, scale * self.dx)
         if method != "spectral" or order not in (1, 2):
             raise ValueError(f"no {method!r} derivative of order {order}")
         fh = np.fft.fft(f)

@@ -65,16 +65,6 @@ class PropagationResult:
     steps: int
 
 
-def model_h_provider(params, grid: Grid1D):
-    """Provider of (h0, h1, h3) fields for the reverse-engineered model."""
-
-    def provider(t):
-        h = model.hamiltonian_entries(t, grid, params)
-        return h.h0, h.h1, h.h3
-
-    return provider
-
-
 def _potential_factor(h0, h1, h3, tau):
     """Pointwise coefficients of exp(-i tau (h0 I + h1 sigma_x + h3 sigma_z)).
 
@@ -146,12 +136,13 @@ def propagate(
     trajectory all come from the closed-form model, which makes the run an
     end-to-end check of the reverse engineering.  Each argument can be
     overridden independently (e.g. zero potential against a free-packet
-    reference).
+    reference); h_provider(t) returns (h0, h1, h3), as
+    model.hamiltonian_entries does.
     """
     n_steps = cfg.steps
     samples = sample_steps(n_steps, n_samples)
     if h_provider is None:
-        h_provider = model_h_provider(params, grid)
+        h_provider = lambda t: model.hamiltonian_entries(t, grid, params)
     if initial is None:
         initial = model.assemble_psi(0.0, grid, params)
     if reference is None:

@@ -188,6 +188,19 @@ def test_propagate_workload_matches_benchmark_reference(tmp_path):
     ) == []
 
 
+def test_tensors_workload_matches_benchmark_reference(tmp_path):
+    # the benchmark's tensors workload (d = 3, sizes 64 and 72, smooth
+    # recipe), through the CLI: hold its report to the benchmark's reference
+    checks = _bench_checks()
+    import workloads
+
+    out = tmp_path / "tensors"
+    assert cli.main([*workloads.cli_args("tensors", 0), "--out", str(out)]) == 0
+    got = json.loads((out / "report.json").read_text())
+    reference = json.loads((checks.REFERENCE / "tensors" / "report.json").read_text())
+    assert checks.json_mismatches(got, reference, checks.REPORT_REL_TOL) == []
+
+
 def test_criterion_7_figure_reproduction(params, tmp_path):
     out = tmp_path / "figure"
     code = cli.main([

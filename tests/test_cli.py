@@ -276,6 +276,10 @@ BAD_INPUTS = {
     "negative_figure_start": lambda p: ["emit-figure", "--t-start", "-1"],
     "negative_identity_start": lambda p: ["verify-identity", "--t-start", "-0.5"],
     "vanishing_mass": lambda p: ["emit-figure", "--mass", "1e-300"],
+    # flag-level usage errors, refused by the parser before any config is read
+    "flag_not_an_int": lambda p: ["verify-identity", "--n", "abc"],
+    "removed_method_flag": lambda p: ["verify-identity", "--method", "fd12"],
+    "unknown_subcommand": lambda p: ["verify-everything"],
 }
 
 
@@ -289,6 +293,14 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as stop:
+        run([flag])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case, key", [

@@ -85,7 +85,7 @@ class TestDecompose:
     def test_population_difference_matches_model(self, params, grid4096):
         psi = model.assemble_psi(0.0, grid4096, params)
         dec = ef.decompose(psi)
-        b = model.bloch_fields(0.0, grid4096, params)
+        b = model._Fields(0.0, grid4096, params)
         m = dec.mask
         wrec = np.abs(dec.phi1) ** 2 - np.abs(dec.phi2) ** 2
         assert np.max(np.abs(wrec - b.w)[m]) <= 1e-10

@@ -49,22 +49,18 @@ class TestRecipes:
         with pytest.raises(ConfigError, match=r"\|w\| reaches 1.2000 > 0.999"):
             geo.build_family(bad, grid)
 
-    def test_fractional_gauge_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            geo.pure_gauge_recipe(mode=1.5)
-
     def test_constant_family_all_tensors_vanish(self):
         grid = geo.ParamGrid((32, 32))
         ts = geo.tensors(geo.build_family(geo.constant_recipe(), grid))
-        for field in (ts.a, ts.b, ts.g, ts.c, ts.d, ts.gamma):
+        christoffel = [piece for _, piece in geo._christoffel_pieces(ts)]
+        for field in (ts.a, ts.b, ts.g, ts.c, ts.d, *christoffel):
             assert np.max(np.abs(field)) <= 1e-14
 
     def test_pure_gauge_tensors(self):
         grid = geo.ParamGrid((64, 64))
-        mode = 1
-        ts = geo.tensors(geo.build_family(geo.pure_gauge_recipe(mode=mode), grid))
-        # connection equals the gauge gradient up to the stencil symbol error
-        assert np.max(np.abs(ts.a[0] - mode)) <= 1e-4
+        ts = geo.tensors(geo.build_family(geo.pure_gauge_recipe(), grid))
+        # connection equals the gauge gradient 1 up to the stencil symbol error
+        assert np.max(np.abs(ts.a[0] - 1.0)) <= 1e-4
         assert np.max(np.abs(ts.a[1])) <= 1e-14
         for field in (ts.b, ts.g, ts.c, ts.d):
             assert np.max(np.abs(field)) <= 1e-12
@@ -241,19 +237,16 @@ class TestStreamedBench:
         family = geo.build_family(geo.NAMED_RECIPES[recipe](), geo.ParamGrid((40,) * d))
         ts = geo.tensors(family)
         ref = _whole_stack_tensors(family)
+        gamma = ref.pop("gamma")
         for name, value in ref.items():
             assert np.array_equal(getattr(ts, name), value), name
-        gamma = ref["gamma"]
+        for index, piece in geo._christoffel_pieces(ts):
+            assert np.array_equal(piece, gamma[index]), index
         expected = _whole_stack_decompositions(ts)
         expected["d_plus_christoffel"] = float(np.max(np.abs(ts.d + gamma)))
         got = geo.check_decompositions(ts)
         got["d_plus_christoffel"] = geo.check_d_christoffel(ts)
         assert got == expected
-
-    def test_christoffel_check_leaves_gamma_unbuilt(self, smooth64):
-        _, ts = smooth64
-        geo.check_d_christoffel(ts)
-        assert "gamma" not in vars(ts)
 
     def test_peak_memory_of_one_grid(self):
         # the TensorFieldSet alone holds 87 real fields at d = 3; the whole
@@ -311,13 +304,12 @@ class TestEmbeddingAgainstEF:
     def test_one_dimensional_fields_match_ef_module(self):
         # same spinor, same 4th-order stencils: the two pipelines must agree
         # to roundoff
-        n, L = 256, 10.0
-        pgrid = geo.ParamGrid((n,), lengths=(L,))
-        k0 = 2.0 * np.pi / L
+        n, L = 256, 2.0 * np.pi
+        pgrid = geo.ParamGrid((n,))
         rec = geo.FamilyRecipe(
-            w=lambda *Q: 0.2 + 0.3 * np.sin(k0 * Q[0]),
-            phi=lambda *Q: 0.5 * np.cos(k0 * Q[0]) + 0.1,
-            a=lambda *Q: 0.4 * np.sin(k0 * Q[0] + 0.6),
+            w=lambda *Q: 0.2 + 0.3 * np.sin(Q[0]),
+            phi=lambda *Q: 0.5 * np.cos(Q[0]) + 0.1,
+            a=lambda *Q: 0.4 * np.sin(Q[0] + 0.6),
         )
         family = geo.build_family(rec, pgrid)
         ts = geo.tensors(family)

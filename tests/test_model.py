@@ -3,7 +3,7 @@ import pytest
 
 from efgeo import model
 from efgeo.errors import ConfigError, ResolutionWarning
-from efgeo.grid import Grid1D
+from efgeo.grid import Grid1D, five_point
 from efgeo.model import ModelParams
 
 
@@ -113,36 +113,35 @@ class TestVectorPotential:
 class TestBlochFields:
     def test_front_midpoint_values(self, params, grid4096):
         # x = 1 is a grid point; the sigmoid exponent vanishes there at t = 0
-        b = model.bloch_fields(0.0, grid4096, params)
+        b = model._Fields(0.0, grid4096, params)
         i = np.argmin(np.abs(grid4096.x - 1.0))
         assert grid4096.x[i] == pytest.approx(1.0, abs=1e-12)
         assert b.w[i] == pytest.approx(0.5, abs=1e-12)
         assert b.phi[i] == pytest.approx(-0.5, abs=1e-12)
 
     def test_saturation_limits(self, params, grid4096):
-        b = model.bloch_fields(0.0, grid4096, params)
+        b = model._Fields(0.0, grid4096, params)
         assert abs(b.w[-1] - params.eta) <= 1e-12
         assert abs(b.w[0] - (1.0 - params.eta)) <= 1e-12
         assert abs(b.phi[-1] + params.eta) <= 1e-12
 
     def test_alpha_reference_and_gradient(self, params, grid4096):
         t = 0.8
-        b = model.bloch_fields(t, grid4096, params)
-        assert b.alpha[0] == pytest.approx(0.0, abs=1e-12)
         f = model._Fields(t, grid4096, params)
-        num = grid4096.derivative(b.alpha, 1, "fd12")
+        assert f.alpha[0] == pytest.approx(0.0, abs=1e-12)
+        num = grid4096.derivative(f.alpha, 1, "fd12")
         interior = slice(16, grid4096.n - 16)
         assert np.max(np.abs(num - f.alpha_x)[interior]) <= 1e-8
 
     def test_chi_abs_positive_on_retained_domain(self, params, grid4096):
-        b = model.bloch_fields(0.0, grid4096, params)
+        b = model._Fields(0.0, grid4096, params)
         retained = b.chi_abs ** 2 > 1e-13 * np.max(b.chi_abs ** 2)
         assert np.all(b.chi_abs[retained] > 0.0)
 
     def test_under_resolved_front_warns(self, params):
         coarse = Grid1D(-4.0, 6.0, 256)
         with pytest.warns(ResolutionWarning):
-            model.bloch_fields(0.0, coarse, params)
+            model._Fields(0.0, coarse, params)
 
 
 def _count_cumulative_integrals(monkeypatch):
@@ -293,11 +292,17 @@ class TestHamiltonianEntries:
         )
         assert np.max(np.abs(alpha_t - f.w * phi_t - line4)) <= 1e-6
 
-    def test_analytic_and_fd_time_derivatives_agree(self, params, grid4096):
-        t = 1.1
-        ha = model.hamiltonian_entries(t, grid4096, params, time_derivatives="analytic")
-        hf = model.hamiltonian_entries(t, grid4096, params, time_derivatives="fd")
-        for a, b in ((ha.h0, hf.h0), (ha.h1, hf.h1), (ha.h3, hf.h3)):
+    def test_analytic_and_fd_time_derivatives_agree(self, params, grid4096, monkeypatch):
+        # the entries built from five-point rates of the Bloch fields, swapped
+        # in for the closed-form rates, match the closed-form entries
+        t, delta_t = 1.1, 1e-5
+        analytic = model.hamiltonian_entries(t, grid4096, params)
+        states = [model._Fields(t + j * delta_t, grid4096, params) for j in (-2, -1, 1, 2)]
+        for name in ("w", "phi", "alpha"):
+            rate = five_point(*(getattr(s, name) for s in states), delta_t)
+            monkeypatch.setattr(model._Fields, name + "_t", rate)
+        fd = model.hamiltonian_entries(t, grid4096, params)
+        for a, b in ((analytic.h0, fd.h0), (analytic.h1, fd.h1), (analytic.h3, fd.h3)):
             assert np.max(np.abs(a - b)) <= 1e-8
 
     def test_entries_are_real(self, params, grid4096):
@@ -311,10 +316,6 @@ class TestHamiltonianEntries:
         nearly_singular = ModelParams(eta=1e-7)
         with pytest.raises(ConfigError, match=r"sin\(phi\) or sin\(theta\) below 1e-6"):
             model.hamiltonian_entries(0.0, grid1024, nearly_singular)
-
-    def test_unknown_mode_rejected(self, params, grid1024):
-        with pytest.raises(ConfigError):
-            model.hamiltonian_entries(0.0, grid1024, params, time_derivatives="magic")
 
 
 class TestAssemblePsi:
@@ -333,7 +334,7 @@ class TestAssemblePsi:
         t = 0.6
         psi = model.assemble_psi(t, grid4096, params)
         rho = psi.density
-        b = model.bloch_fields(t, grid4096, params)
+        b = model._Fields(t, grid4096, params)
         vis = rho > 1e-30 * rho.max()
         wrec = (np.abs(psi.psi1[vis]) ** 2 - np.abs(psi.psi2[vis]) ** 2) / rho[vis]
         assert np.max(np.abs(wrec - b.w[vis])) <= 1e-12

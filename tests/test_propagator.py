@@ -133,7 +133,7 @@ def _old_step_arrays(psi1, psi2, t, dt, h_provider, kin_phase):
 
 def test_step_keeps_the_bits_of_two_full_half_steps(params, grid1024):
     dt = 1e-3
-    provider = propagator.model_h_provider(params, grid1024)
+    provider = lambda t: model.hamiltonian_entries(t, grid1024, params)
     kin_phase = propagator._kinetic_phase(grid1024, dt, params.inertia)
     state = model.assemble_psi(0.0, grid1024, params)
     new = old = (state.psi1, state.psi2)

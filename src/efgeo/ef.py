@@ -11,6 +11,11 @@ The conditional spinor is generally not periodic across the domain wrap, so
 its derivatives default to high-order central stencils (local, so only the
 wrap-adjacent off-mask points are polluted).  Spectral differentiation
 remains available for genuinely periodic states.
+
+Outside the support the spinor is a frozen constant, so every derivative of
+it vanishes there: the stencils run only on a window around the support,
+and every value on that window carries the bits of the same stencil run
+over the whole grid.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid1D
+from .grid import _D1_COEFFS, Grid1D
 
 DEFAULT_FLOOR_RATIO = 1e-13
 NORM_TOL = 1e-10  # largest |norm - 1| a TwoComponentWavefunction accepts
@@ -65,7 +70,10 @@ class EFDecomposition:
 
     The rank-3 bracket and its parts c_tensor (Re) and d_tensor (Im) are
     computed on first read and cached; the metric alone costs two
-    derivatives, the bracket two more.
+    derivatives, the bracket two more.  Every derivative runs on window: the
+    bounding box of the support widened by two stencil half-widths, or the
+    whole grid.  Outside it Phi keeps the box's edge values and every field
+    derived from its derivatives is zero.
     """
 
     grid: Grid1D
@@ -82,6 +90,7 @@ class EFDecomposition:
     metric: np.ndarray        # g = <(P-A)Phi|(P-A)Phi>, non-negative
     mask: np.ndarray          # density above floor: tensors valid here
     extended: np.ndarray      # points where Phi is a frozen continuation
+    window: slice             # where the derivatives run; zero outside
     method: str
     inertia: float = None
 
@@ -98,11 +107,11 @@ class EFDecomposition:
     def bracket(self) -> np.ndarray:
         """<(P-A)Phi|(P-A)(P-A)Phi>: only the rate of the geometric energy
         reads it."""
-        grid, A, method = self.grid, self.connection, self.method
-        g1, g2 = self.cov1, self.cov2
-        h1 = -1j * grid.derivative(g1, 1, method) - A * g1
-        h2 = -1j * grid.derivative(g2, 1, method) - A * g2
-        return np.conj(g1) * h1 + np.conj(g2) * h2
+        grid, win, method = self.grid, self.window, self.method
+        A, g1, g2 = self.connection[win], self.cov1[win], self.cov2[win]
+        h1 = -1j * grid.derivative(self.cov1, 1, method, win) - A * g1
+        h2 = -1j * grid.derivative(self.cov2, 1, method, win) - A * g2
+        return _on_grid(np.conj(g1) * h1 + np.conj(g2) * h2, win, grid.n)
 
     @property
     def c_tensor(self) -> np.ndarray:
@@ -133,43 +142,67 @@ def _nearest_fill(support: np.ndarray) -> np.ndarray:
     return np.where(np.abs(idx - left) <= np.abs(right - idx), left, right)
 
 
-def decompose(
-    psi: TwoComponentWavefunction,
-    floor: float = None,
-    inertia: float = None,
-    method: str = "fd12",
-) -> EFDecomposition:
+def _window(box: slice, n: int, method: str) -> slice:
+    """Points at which decompose differentiates: box widened by two stencil
+    half-widths (the bracket differentiates twice), or the whole grid when
+    that window and the half-width read around it would leave the grid, and
+    always for spectral derivatives."""
+    if method not in _D1_COEFFS:
+        return slice(0, n)
+    halo = len(_D1_COEFFS[method][0])
+    lo, hi = box.start - 2 * halo, box.stop + 2 * halo
+    return slice(lo, hi) if halo <= lo and hi <= n - halo else slice(0, n)
+
+
+def _on_grid(values: np.ndarray, part: slice, n: int, edges: bool = False) -> np.ndarray:
+    """values on part of the grid as a whole-grid field: zero outside it, or
+    with edges, continued by the first and last of values."""
+    if values.size == n:
+        return values
+    out = np.zeros(n, values.dtype)
+    out[part] = values
+    if edges:
+        out[:part.start] = values[0]
+        out[part.stop:] = values[-1]
+    return out
+
+
+def decompose(psi: TwoComponentWavefunction, inertia: float = None,
+              method: str = "fd12") -> EFDecomposition:
     """Exact factorization of psi with gauge lambda = 0 (chi real >= 0).
 
-    floor is an absolute density threshold; by default 1e-13 of the density
-    maximum.  inertia, when given, also defines the current.
+    The density floor is DEFAULT_FLOOR_RATIO of the density maximum.
+    inertia, when given, also defines the current.
     """
-    grid = psi.grid
+    grid, n = psi.grid, psi.grid.n
     chi2 = psi.density
     peak = chi2.max()
     if peak == 0.0:
         raise ConfigError("state has vanishing density everywhere")
-    if floor is None:
-        floor = DEFAULT_FLOOR_RATIO * peak
-    if floor <= 0.0:
-        raise ConfigError("density floor must be positive")
+    floor = DEFAULT_FLOOR_RATIO * peak
     mask = chi2 > floor
-    if not mask.any():
-        raise ConfigError("density never exceeds the floor")
 
+    # Phi = psi/|chi| on the bounding box of the support, filled from the
+    # nearest supported point in its gaps and beyond its edges
     support = chi2 > floor * EXTENSION_RATIO
-    chi_safe = np.where(support, np.sqrt(chi2), 1.0)
-    nearest = _nearest_fill(support)
-    phi1 = (psi.psi1 / chi_safe)[nearest]
-    phi2 = (psi.psi2 / chi_safe)[nearest]
+    live = np.flatnonzero(support)
+    box = slice(int(live[0]), int(live[-1]) + 1)
+    chi_safe = np.where(support[box], np.sqrt(chi2[box]), 1.0)
+    phi1, phi2 = psi.psi1[box] / chi_safe, psi.psi2[box] / chi_safe
+    if live.size < chi_safe.size:
+        nearest = _nearest_fill(support[box])
+        phi1, phi2 = phi1[nearest], phi2[nearest]
+    phi1, phi2 = _on_grid(phi1, box, n, edges=True), _on_grid(phi2, box, n, edges=True)
 
-    d1 = grid.derivative(phi1, 1, method)
-    d2 = grid.derivative(phi2, 1, method)
-    A = np.imag(np.conj(phi1) * d1 + np.conj(phi2) * d2)
+    win = _window(box, n, method)
+    d1 = grid.derivative(phi1, 1, method, win)
+    d2 = grid.derivative(phi2, 1, method, win)
+    p1, p2 = phi1[win], phi2[win]
+    A = np.imag(np.conj(p1) * d1 + np.conj(p2) * d2)
 
     # covariant derivative field (P - A)Phi; the bracket applies it once more
-    g1 = -1j * d1 - A * phi1
-    g2 = -1j * d2 - A * phi2
+    g1 = -1j * d1 - A * p1
+    g2 = -1j * d2 - A * p2
     metric = np.abs(g1) ** 2 + np.abs(g2) ** 2
 
     return EFDecomposition(
@@ -179,14 +212,15 @@ def decompose(
         chi2=chi2,
         phi1=phi1,
         phi2=phi2,
-        dphi1=d1,
-        dphi2=d2,
-        cov1=g1,
-        cov2=g2,
-        connection=A,
-        metric=metric,
+        dphi1=_on_grid(d1, win, n),
+        dphi2=_on_grid(d2, win, n),
+        cov1=_on_grid(g1, win, n),
+        cov2=_on_grid(g2, win, n),
+        connection=_on_grid(A, win, n),
+        metric=_on_grid(metric, win, n),
         mask=mask,
         extended=~support,
+        window=win,
         method=method,
         inertia=inertia,
     )

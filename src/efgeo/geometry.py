@@ -62,7 +62,7 @@ class ParamGrid:
         """4th-order central derivative along one axis, periodic wrap: the
         stencil of Grid1D's fd4."""
         coeffs, scale = _D1_COEFFS["fd4"]
-        return central_difference(values, coeffs, scale * self.spacings[axis], axis, 1)
+        return central_difference(values, coeffs, scale * self.spacings[axis], axis)
 
 
 @dataclass(frozen=True)

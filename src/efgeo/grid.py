@@ -23,26 +23,35 @@ _D1_COEFFS = {
 }
 
 
-def central_difference(f, coeffs, h, axis=-1, step=1):
-    """Periodic sum_j c_j (f_{i+j*step} - f_{i-j*step}) / h along one axis.
+def central_difference(f, coeffs, h, axis=-1, window=slice(None)):
+    """Periodic sum_j c_j (f_{i+j} - f_{i-j}) / h along one axis, at the
+    points i of window (a slice of indices; by default every point).
 
-    Every shifted operand is a slice view of one wrapped copy of f, which
-    holds w = len(coeffs)*step <= n entries of periodic image on either side.
-    Starts from the first term and adds the rest in place: fixed order, fixed bits.
+    Every shifted operand is a slice view of one array that holds the
+    w = len(coeffs) neighbours on either side of the window: f itself when the
+    window lies w points inside the axis, else one wrapped copy of f with w
+    entries of periodic image on either side.  Starts from the first term and
+    adds the rest in place: fixed order, fixed bits, so each point of a window
+    gets the bits it gets when the stencil runs over the whole axis.
     """
     f = np.asarray(f)
     axis = axis % f.ndim
     n = f.shape[axis]
-    w = len(coeffs) * step
+    w = len(coeffs)
+    lo, hi, _ = window.indices(n)
     lead = (slice(None),) * axis
-    padded = np.concatenate([f[lead + (slice(n - w, None),)], f, f[lead + (slice(0, w),)]], axis)
+    if w <= lo and hi <= n - w:
+        padded, start = f, lo
+    else:
+        padded = np.concatenate([f[lead + (slice(n - w, None),)], f, f[lead + (slice(0, w),)]], axis)
+        start = lo + w
 
     def shifted(k):
-        return padded[lead + (slice(w + k, w + k + n),)]
+        return padded[lead + (slice(start + k, start + k + hi - lo),)]
 
-    out = coeffs[0] * (shifted(step) - shifted(-step))
+    out = coeffs[0] * (shifted(1) - shifted(-1))
     for j, cj in enumerate(coeffs[1:], start=2):
-        out += cj * (shifted(j * step) - shifted(-j * step))
+        out += cj * (shifted(j) - shifted(-j))
     return out / h
 
 
@@ -103,21 +112,25 @@ class Grid1D:
         """FFT-ordered angular wavenumbers 2 pi fftfreq(n, dx) (read-only)."""
         return self._wavenumbers
 
-    def derivative(self, values, order: int = 1, method: str = "spectral") -> np.ndarray:
-        """Pointwise derivative of a field sampled on the grid.
+    def derivative(self, values, order: int = 1, method: str = "spectral",
+                   window: slice = slice(None)) -> np.ndarray:
+        """Pointwise derivative of a field sampled on the grid, at the points
+        of window (a slice of indices; by default every point).
 
         method "spectral" is exact for band-limited periodic input and gives
-        order 1 or 2; the fd variants are central first-derivative stencils
-        of the named order with periodic wrap.  Local stencils are the right
-        choice for fields that are smooth on the grid but not periodic across
-        the wrap (only the wrap-adjacent points are then polluted).
+        order 1 or 2 on the whole grid only; the fd variants are central
+        first-derivative stencils of the named order with periodic wrap, and
+        read the window plus the stencil's half-width on either side.  Local
+        stencils are the right choice for fields that are smooth on the grid
+        but not periodic across the wrap (only the wrap-adjacent points are
+        then polluted).
         """
         f = _validated(self, values)
         if method in _D1_COEFFS and order == 1:
             coeffs, scale = _D1_COEFFS[method]
-            return central_difference(f, coeffs, scale * self.dx)
-        if method != "spectral" or order not in (1, 2):
-            raise ValueError(f"no {method!r} derivative of order {order}")
+            return central_difference(f, coeffs, scale * self.dx, window=window)
+        if method != "spectral" or order not in (1, 2) or window.indices(self.n)[:2] != (0, self.n):
+            raise ValueError(f"no {method!r} derivative of order {order} on {window}")
         fh = np.fft.fft(f)
         k = self.wavenumbers
         if order == 1:
@@ -135,15 +148,13 @@ class Grid1D:
         f = _validated(self, values)
         return self.dx * np.sum(f)
 
-    def cumulative_integral(self, values, x_ref: float) -> np.ndarray:
-        """Antiderivative F(x) = int_{x_ref}^{x} f dx' with F(x_ref) = 0.
+    def cumulative_integral(self, values) -> np.ndarray:
+        """Antiderivative F(x) = int_{x_min}^{x} f dx', so F(x_min) = 0.
 
         Splits off the mean and integrates the oscillatory part spectrally
         exactly; the integrand must be periodic or decayed at the domain edges.
         """
         f = _validated(self, values)
-        if not (self.x_min <= x_ref <= self.x[-1]):
-            raise ConfigError(f"x_ref = {x_ref} outside [{self.x_min}, {self.x[-1]}]")
         fh = np.fft.fft(f)
         k = self.wavenumbers.copy()
         k[0] = 1.0
@@ -154,4 +165,4 @@ class Grid1D:
         F = np.fft.ifft(sym) + fh[0] / self.n * (self.x - self.x_min)
         if not np.iscomplexobj(f):
             F = F.real
-        return F - np.interp(x_ref, self.x, F)
+        return F - F[0]

@@ -183,20 +183,24 @@ def _rate_local(params, grid, t, delta_t) -> float:
 
 
 def _potential_gradient(dec, ham):
-    """Spatial gradient of the 2x2 potential as its entries (up, off, dn)."""
-    grid = dec.grid
-    dh0 = grid.derivative(ham.h0, 1, METHOD)
-    dh1 = grid.derivative(ham.h1, 1, METHOD)
-    dh3 = grid.derivative(ham.h3, 1, METHOD)
+    """Spatial gradient of the 2x2 potential on dec's window, as its entries
+    (up, off, dn)."""
+    grid, win = dec.grid, dec.window
+    dh0 = grid.derivative(ham.h0, 1, METHOD, win)
+    dh1 = grid.derivative(ham.h1, 1, METHOD, win)
+    dh3 = grid.derivative(ham.h3, 1, METHOD, win)
     return dh0 + dh3, dh1, dh0 - dh3
 
 
 def _force_density(dec, ham):
-    """Re <Phi| dH |(P - A)Phi>, the force density of the general form."""
+    """Re <Phi| dH |(P - A)Phi> on dec's window, the force density of the
+    general form."""
     up, dh1, dn = _potential_gradient(dec, ham)
+    win = dec.window
+    phi1, phi2, cov1, cov2 = dec.phi1[win], dec.phi2[win], dec.cov1[win], dec.cov2[win]
     return np.real(
-        np.conj(dec.phi1) * (up * dec.cov1 + dh1 * dec.cov2)
-        + np.conj(dec.phi2) * (dh1 * dec.cov1 + dn * dec.cov2)
+        np.conj(phi1) * (up * cov1 + dh1 * cov2)
+        + np.conj(phi2) * (dh1 * cov1 + dn * cov2)
     )
 
 
@@ -211,36 +215,39 @@ def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None) -> dict:
     Both readings come from one decomposition and one set of derivatives:
     reading B only weights the t2 and t4 integrands by the marginal density,
     and reading A weights them by 1.0, which leaves every bit unchanged.
+    Every integrand lives on the decomposition's window, which holds the mask.
     """
     _check_mutation(mutation)
     dec = _decompose_at(params, grid, t)
     ham = model.hamiltonian_entries(t, grid, params)
     I = params.inertia
-    mask = dec.mask
+    win = dec.window
+    mask, chi2 = dec.mask[win], dec.chi2[win]
+    phi1, phi2, dphi1, dphi2 = dec.phi1[win], dec.phi2[win], dec.dphi1[win], dec.dphi2[win]
     up, dh1, dn = _potential_gradient(dec, ham)
     # <Phi| dH |dPhi> (complex) and <Phi| dH |Phi> (real)
     sand_dphi = (
-        np.conj(dec.phi1) * (up * dec.dphi1 + dh1 * dec.dphi2)
-        + np.conj(dec.phi2) * (dh1 * dec.dphi1 + dn * dec.dphi2)
+        np.conj(phi1) * (up * dphi1 + dh1 * dphi2)
+        + np.conj(phi2) * (dh1 * dphi1 + dn * dphi2)
     )
     sand_pop = (
-        up * np.abs(dec.phi1) ** 2
-        + dn * np.abs(dec.phi2) ** 2
-        + 2.0 * dh1 * np.real(np.conj(dec.phi1) * dec.phi2)
+        up * np.abs(phi1) ** 2
+        + dn * np.abs(phi2) ** 2
+        + 2.0 * dh1 * np.real(np.conj(phi1) * phi2)
     )
 
     t1_density = np.imag(sand_dphi)
     if mutation != "drop_weight_t1":
-        t1_density = t1_density * dec.chi2
+        t1_density = t1_density * chi2
     t1 = -I * _masked_integral(grid, t1_density, mask)
-    flux = grid.derivative(dec.c_tensor * dec.chi2, 1, METHOD)
+    flux = grid.derivative(dec.c_tensor * dec.chi2, 1, METHOD, win)
     t3 = -0.5 * I * I * _masked_integral(grid, flux, mask)
-    t2_density = dec.connection * sand_pop
-    t4_density = dec.metric * grid.derivative(dec.connection, 1, METHOD)
+    t2_density = dec.connection[win] * sand_pop
+    t4_density = dec.metric[win] * grid.derivative(dec.connection, 1, METHOD, win)
 
     s = _SIGNS.get(mutation, (1, 1, 1, 1))
     terms = {}
-    for reading, weight in (("A", 1.0), ("B", dec.chi2)):
+    for reading, weight in (("A", 1.0), ("B", chi2)):
         t2 = I * _masked_integral(grid, t2_density * weight, mask)
         t4 = -I * I * _masked_integral(grid, t4_density * weight, mask)
         terms[reading] = RhsTerms(t1=s[0] * t1, t2=s[1] * t2, t3=s[2] * t3, t4=s[3] * t4)
@@ -256,14 +263,15 @@ def rhs_general(params, grid: Grid1D, t: float) -> GeneralFormTerms:
     dec = _decompose_at(params, grid, t)
     ham = model.hamiltonian_entries(t, grid, params)
     I = params.inertia
-    mask = dec.mask
-    force = -I * _masked_integral(grid, dec.chi2 * _force_density(dec, ham), mask)
+    win = dec.window
+    mask, chi2 = dec.mask[win], dec.chi2[win]
+    force = -I * _masked_integral(grid, chi2 * _force_density(dec, ham), mask)
 
     curvature = 0.0  # B = dA/dx - dA/dx in a single dimension
 
     ratio = np.divide(dec.current, dec.chi2, out=np.zeros_like(dec.chi2), where=dec.chi2 > 0)
     transport = -I * _masked_integral(
-        grid, dec.chi2 * dec.metric * grid.derivative(ratio, 1, METHOD), mask
+        grid, chi2 * dec.metric[win] * grid.derivative(ratio, 1, METHOD, win), mask
     )
     return GeneralFormTerms(force=force, curvature=curvature, transport=transport)
 
@@ -273,29 +281,32 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5) -> Po
 
     The left side differences the metric in time; the right side combines
     the force density, the rank-3 flux terms and the transport terms, all at
-    the single time t.  Reported over the intersection of the masks used.
+    the single time t, on the window of its decomposition.  Reported over the
+    intersection of the masks used.
     """
     decs = {dt_off: _decompose_at(params, grid, t + dt_off * delta_t)
             for dt_off in (-2, -1, 0, 1, 2)}
     dec = decs[0]
+    win = dec.window
     I = params.inertia
     ham = model.hamiltonian_entries(t, grid, params)
     force_density = _force_density(dec, ham)
-    D = lambda f: grid.derivative(f, 1, METHOD)
-    dlog_chi2 = np.divide(D(dec.chi2), dec.chi2, out=np.zeros_like(dec.chi2), where=dec.chi2 > 0)
+    D = lambda f: grid.derivative(f, 1, METHOD, win)
+    chi2, c_tensor = dec.chi2[win], dec.c_tensor[win]
+    dlog_chi2 = np.divide(D(dec.chi2), chi2, out=np.zeros_like(chi2), where=chi2 > 0)
     rhs = (
         -I * force_density
         - 0.5 * I * I * D(dec.c_tensor)
-        - 0.5 * I * I * dec.c_tensor * dlog_chi2
-        - 0.5 * I * I * dec.connection * D(dec.metric)
-        - I * I * dec.metric * D(dec.connection)
+        - 0.5 * I * I * c_tensor * dlog_chi2
+        - 0.5 * I * I * dec.connection[win] * D(dec.metric)
+        - I * I * dec.metric[win] * D(dec.connection)
     )
 
-    lhs = 0.5 * I * five_point(*(decs[off].metric for off in (-2, -1, 1, 2)), delta_t)
+    lhs = 0.5 * I * five_point(*(decs[off].metric[win] for off in (-2, -1, 1, 2)), delta_t)
 
-    mask = decs[0].mask.copy()
+    mask = dec.mask[win].copy()
     for off in (-2, -1, 1, 2):
-        mask &= decs[off].mask
+        mask &= decs[off].mask[win]
     residual = np.abs(lhs - rhs)[mask]
     scale = float(np.max(np.abs(lhs[mask])))
     return PointwiseReport(max_residual=float(np.max(residual)), scale=scale)

@@ -251,14 +251,12 @@ class _Fields:
     def alpha(self):
         # alpha = int_{x_min}^{x} (2A + w phi_x); drift part in closed form,
         # localized front part by spectral antiderivative.
-        return self._drift_phase(self.x) + self.grid.cumulative_integral(
-            self.w * self.phi_x, self.grid.x_min
-        )
+        return self._drift_phase(self.x) + self.grid.cumulative_integral(self.w * self.phi_x)
 
     @cached_property
     def alpha_t(self):
         return self._drift_phase_rate(self.x) + self.grid.cumulative_integral(
-            self.w_t * self.phi_x + self.w * self.phi_xt, self.grid.x_min
+            self.w_t * self.phi_x + self.w * self.phi_xt
         )
 
     @cached_property

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from periodic_states import make_periodic_state, regauged, smooth_gauge
@@ -125,13 +125,6 @@ class TestDecompose:
         psi = model.assemble_psi(0.2, grid4096, params)
         assert ef.decompose(psi).chi2 is psi.density
 
-    def test_floor_validation(self, grid1024):
-        psi = gaussian_state(grid1024)
-        with pytest.raises(ConfigError, match="density floor must be positive"):
-            ef.decompose(psi, floor=-1.0)
-        with pytest.raises(ConfigError, match="density never exceeds the floor"):
-            ef.decompose(psi, floor=1e9)
-
     def test_disjoint_support_islands(self, grid1024):
         # two well-separated packets: the mask splits into islands and the
         # continuation bridges the dead valley without producing non-finite
@@ -159,10 +152,12 @@ class TestDecompose:
         assert not dec.extended[dec.mask].any()
         assert np.all(np.isfinite(dec.phi1)) and np.all(np.isfinite(dec.phi2))
 
-    def test_floor_insensitivity(self, params, grid4096):
+    def test_floor_insensitivity(self, params, grid4096, monkeypatch):
         psi = model.assemble_psi(1.0, grid4096, params)
-        peak = psi.density.max()
-        decs = [ef.decompose(psi, floor=r * peak) for r in (1e-12, 1e-13, 1e-14)]
+        decs = []
+        for ratio in (1e-12, 1e-13, 1e-14):
+            monkeypatch.setattr(ef, "DEFAULT_FLOOR_RATIO", ratio)
+            decs.append(ef.decompose(psi))
         common = decs[0].mask & decs[1].mask & decs[2].mask
         for a, b in ((decs[0], decs[1]), (decs[1], decs[2])):
             assert np.max(np.abs(a.connection - b.connection)[common]) <= 1e-9
@@ -381,3 +376,94 @@ class TestRandomStateProperties:
         for name in ("metric", "c_tensor", "d_tensor"):
             assert np.max(np.abs(getattr(shifted, name) - getattr(base, name))) <= 1e-8, name
         assert np.max(np.abs(shifted.connection - base.connection - theta_x)) <= 1e-9
+
+
+def _whole_grid_reference(psi, inertia):
+    """Reference: the decomposition with every stencil over the whole grid,
+    as (mask, connection, metric, bracket, geometric energy)."""
+    grid, chi2 = psi.grid, psi.density
+    floor = ef.DEFAULT_FLOOR_RATIO * chi2.max()
+    support = chi2 > floor * ef.EXTENSION_RATIO
+    chi_safe = np.where(support, np.sqrt(chi2), 1.0)
+    nearest = ef._nearest_fill(support)
+    phi1, phi2 = (psi.psi1 / chi_safe)[nearest], (psi.psi2 / chi_safe)[nearest]
+    d1, d2 = grid.derivative(phi1, 1, "fd12"), grid.derivative(phi2, 1, "fd12")
+    A = np.imag(np.conj(phi1) * d1 + np.conj(phi2) * d2)
+    g1, g2 = -1j * d1 - A * phi1, -1j * d2 - A * phi2
+    metric = np.abs(g1) ** 2 + np.abs(g2) ** 2
+    h1 = -1j * grid.derivative(g1, 1, "fd12") - A * g1
+    h2 = -1j * grid.derivative(g2, 1, "fd12") - A * g2
+    bracket = np.conj(g1) * h1 + np.conj(g2) * h2
+    mask = chi2 > floor
+    energy = float(0.5 * inertia * grid.integrate(np.where(mask, chi2, 0.0) * metric))
+    return mask, A, metric, bracket, energy
+
+
+def _assert_window_keeps_bits(psi, inertia, where=None):
+    """The decomposition on its window against the whole-grid reference, bit
+    for bit on the mask (or on where) and in the geometric energy."""
+    dec = ef.decompose(psi, inertia=inertia)
+    mask, A, metric, bracket, energy = _whole_grid_reference(psi, inertia)
+    assert np.array_equal(dec.mask, mask)
+    m = mask if where is None else where
+    for got, ref in ((dec.connection, A), (dec.metric, metric),
+                     (dec.c_tensor, bracket.real), (dec.d_tensor, bracket.imag)):
+        assert np.array_equal(got[m], ref[m])
+    assert ef.geometric_energy(dec) == energy
+    return dec
+
+
+class TestSupportWindow:
+    @settings(max_examples=30, deadline=None)
+    @given(eta=st.floats(0.005, 0.49), log_mass=st.floats(1.0, 2.5),
+           log_gamma=st.floats(0.0, 2.2), t=st.floats(0.0, 10.0))
+    def test_window_keeps_the_whole_grid_bits(self, eta, log_mass, log_gamma, t):
+        params = model.ModelParams(eta=eta, mass=10.0 ** log_mass, gamma=10.0 ** log_gamma)
+        grid = Grid1D(-4.0, 6.0, 2048)
+        try:
+            psi = model.assemble_psi(t, grid, params)
+        except ConfigError:  # the packet has left the domain: no state
+            assume(False)
+        dec = _assert_window_keeps_bits(psi, params.inertia)
+        win = dec.window
+        assert dec.mask[win].sum() == dec.mask.sum()
+        outside = np.ones(grid.n, dtype=bool)
+        outside[win] = False
+        for field in (dec.dphi1, dec.cov2, dec.connection, dec.metric, dec.bracket):
+            assert not field[outside].any()
+
+    def test_support_islands_keep_the_bits(self, grid1024):
+        # two packets with a dead valley between them: the window spans both,
+        # and Phi is filled from the nearest supported point inside it
+        x = grid1024.x
+        left = np.exp(-((x + 1.5) ** 2) / (2.0 * 0.15 ** 2)) * np.exp(1j * 3.0 * x)
+        right = np.exp(-((x - 3.5) ** 2) / (2.0 * 0.15 ** 2))
+        norm = np.sqrt(grid1024.integrate(np.abs(left) ** 2 + np.abs(right) ** 2))
+        psi = ef.TwoComponentWavefunction(grid=grid1024, psi1=left / norm, psi2=right / norm)
+        dec = _assert_window_keeps_bits(psi, 0.1)
+        assert 0 < dec.window.start and dec.window.stop < grid1024.n
+        assert dec.extended[dec.window].any()
+
+    def test_edge_packet_uses_the_whole_periodic_grid(self, grid1024):
+        # the support reaches the left edge, so the window would leave the
+        # grid: every stencil runs over the whole grid, with wrap, and every
+        # field keeps its bits also off the mask
+        psi = gaussian_state(grid1024, spinor=(0.8, 0.6), k=2.0, x0=-3.4, s0=0.3)
+        dec = _assert_window_keeps_bits(psi, 0.1, where=slice(None))
+        assert dec.window == slice(0, grid1024.n)
+
+    def test_periodic_state_uses_the_whole_grid(self, grid1024):
+        state, _ = make_periodic_state(grid1024, seed=2, winding=1)
+        dec = _assert_window_keeps_bits(state, 0.1, where=slice(None))
+        assert dec.mask.all() and dec.window == slice(0, grid1024.n)
+
+    @pytest.mark.parametrize("box,method,window", [
+        (slice(18, 100), "fd12", slice(6, 112)),       # the halo starts at the first point
+        (slice(17, 100), "fd12", slice(0, 1024)),      # it would wrap
+        (slice(300, 1006), "fd12", slice(288, 1018)),  # the halo ends at the last point
+        (slice(300, 1007), "fd12", slice(0, 1024)),
+        (slice(300, 400), "fd4", slice(296, 404)),
+        (slice(300, 400), "spectral", slice(0, 1024)),
+    ])
+    def test_window_widens_the_box_by_two_half_widths(self, box, method, window):
+        assert ef._window(box, 1024, method) == window

@@ -103,7 +103,7 @@ class TestVectorPotential:
         for t in (0.0, 1.3):
             rho = model.nuclear_density(grid4096.x, t, params)
             rate = model.nuclear_density_rate(grid4096.x, t, params)
-            F = grid4096.cumulative_integral(rate, grid4096.x_min)
+            F = grid4096.cumulative_integral(rate)
             visible = rho > 1e-6 * rho.max()
             quad = -F[visible] / (params.inertia * rho[visible])
             closed = model.vector_potential(grid4096.x[visible], t, params)
@@ -194,11 +194,9 @@ class TestLazyFields:
         eager = {
             "chi2": chi2,
             "chi_abs": np.sqrt(chi2),
-            "alpha": f._drift_phase(x) + grid4096.cumulative_integral(
-                f.w * f.phi_x, grid4096.x_min
-            ),
+            "alpha": f._drift_phase(x) + grid4096.cumulative_integral(f.w * f.phi_x),
             "alpha_t": f._drift_phase_rate(x) + grid4096.cumulative_integral(
-                w_t * f.phi_x + f.w * phi_xt, grid4096.x_min
+                w_t * f.phi_x + f.w * phi_xt
             ),
             "alpha_xx": 2.0 * f.vector_potential_x + w_x * f.phi_x + f.w * phi_xx,
             "w_x": w_x,

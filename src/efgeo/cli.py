@@ -14,6 +14,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -321,6 +322,35 @@ def cmd_propagate(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# values set for them: 32 MiB is glibc's ceiling for its dynamic mmap
+# threshold, and the trim threshold is twice it, as glibc's dynamic rule sets it
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _keep_heap():
+    """Let the heap keep up to 64 MiB of freed memory, not return it to the kernel.
+
+    At n = 4096 every whole-grid complex field is 64 KiB, glibc's fastbin
+    consolidation threshold, so each free of one checks the top of the
+    heap and returns it to the kernel once more than the default 128 KiB
+    trim threshold is free there; the next state assembly faults it back
+    in.  No field reaches the default 128 KiB mmap threshold, so glibc
+    never raises the trim threshold itself.  Setting the trim threshold
+    alone would pin the mmap threshold at 128 KiB, so both are set.  Does
+    nothing where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to load
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 _COMMANDS = {
     "verify-identity": cmd_verify_identity,
     "verify-tensors": cmd_verify_tensors,
@@ -335,6 +365,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        _keep_heap()
         return _COMMANDS[args.command](cfg, out_dir)
     except VerificationFailure as err:
         print(f"verification failure: {err}", file=sys.stderr)

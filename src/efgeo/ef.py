@@ -176,10 +176,8 @@ def decompose(psi: TwoComponentWavefunction, inertia: float = None,
     """
     grid, n = psi.grid, psi.grid.n
     chi2 = psi.density
-    peak = chi2.max()
-    if peak == 0.0:
-        raise ConfigError("state has vanishing density everywhere")
-    floor = DEFAULT_FLOOR_RATIO * peak
+    # positive: TwoComponentWavefunction refuses a state whose norm is off 1
+    floor = DEFAULT_FLOOR_RATIO * chi2.max()
     mask = chi2 > floor
 
     # Phi = psi/|chi| on the bounding box of the support, filled from the

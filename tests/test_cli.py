@@ -1,4 +1,8 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -296,11 +300,76 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
-def test_help_and_version_exit_0(flag, capsys):
+def test_help_and_version_exit_0(flag, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_keep_heap", lambda: pytest.fail("allocator set for " + flag))
     with pytest.raises(SystemExit) as stop:
         run([flag])
     assert stop.value.code == 0
     assert capsys.readouterr().out
+
+
+def _fresh_python(code):
+    """A fresh interpreter that runs `code` with this checkout's efgeo."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+
+
+class TestHeapThresholds:
+    QUICK = ["verify-identity", "--n", "1024", "--t-end", "0.5", "--samples", "5",
+             "--delta-t", "4e-4"]
+
+    def test_import_leaves_the_thresholds_and_main_sets_both(self):
+        code = f"""
+import ctypes, sys, tempfile
+import numpy
+calls = []
+class Mallopt:
+    def __call__(self, param, value):
+        calls.append((param, value))
+        return 1
+class Libc:
+    mallopt = Mallopt()
+ctypes.CDLL = lambda name, *args, **kwargs: Libc()
+from efgeo import cli
+if calls:
+    sys.exit(f"import called mallopt: {{calls}}")
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main({self.QUICK!r} + ["--out", out])
+if code != 0 or calls != [(-3, 32 << 20), (-1, 64 << 20)]:
+    sys.exit(f"exit {{code}}, mallopt calls {{calls}}")
+"""
+        done = _fresh_python(code)
+        assert done.returncode == 0, done.stderr
+
+    def test_libc_without_mallopt_changes_nothing(self, tmp_path, monkeypatch):
+        assert run(self.QUICK + ["--out", str(tmp_path / "kept")]) == 0
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name, *args, **kwargs: object())
+        assert run(self.QUICK + ["--out", str(tmp_path / "bare")]) == 0
+        for name in ("report.json", "series.csv", "manifest.json"):
+            assert (tmp_path / "kept" / name).read_bytes() == (tmp_path / "bare" / name).read_bytes()
+
+    # musl's mallopt does nothing, and other C libraries have none
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_repeated_run_keeps_its_heap(self):
+        # at n = 4096 every whole-grid complex field is 64 KiB; with glibc's
+        # default thresholds the second run refaulted about 9000 pages of
+        # heap that the first had freed, with them it faults about 10
+        code = """
+import resource, tempfile
+from efgeo import cli
+argv = ["verify-identity", "--t-end", "1", "--samples", "11"]
+with tempfile.TemporaryDirectory() as out:
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(argv + ["--out", out]) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+        done = _fresh_python(code)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) < 1000
 
 
 @pytest.mark.parametrize("case, key", [

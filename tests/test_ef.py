@@ -48,6 +48,11 @@ class TestWavefunctionType:
                 grid=grid1024, psi1=chi.astype(complex), psi2=np.zeros(grid1024.n, dtype=complex)
             )
 
+    def test_rejects_all_zero_state(self, grid1024):
+        zero = np.zeros(grid1024.n, dtype=complex)
+        with pytest.raises(ConfigError, match=r"state norm 0\.0 deviates from 1"):
+            ef.TwoComponentWavefunction(grid=grid1024, psi1=zero, psi2=zero)
+
     def test_rejects_non_finite(self, grid1024):
         psi = gaussian_state(grid1024)
         bad = psi.psi1.copy()

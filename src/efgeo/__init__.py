@@ -9,7 +9,7 @@ tensor identities on synthetic families.
 """
 
 from .ef import EFDecomposition, KineticPartition, TwoComponentWavefunction, decompose, energies
-from .errors import ConfigError, ResolutionWarning, VerificationFailure
+from .errors import ConfigError, VerificationFailure
 from .grid import Grid1D
 from .model import HamiltonianFields, ModelParams
 
@@ -22,7 +22,6 @@ __all__ = [
     "HamiltonianFields",
     "KineticPartition",
     "ModelParams",
-    "ResolutionWarning",
     "TwoComponentWavefunction",
     "VerificationFailure",
     "decompose",

@@ -17,21 +17,14 @@ import argparse
 import ctypes
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, ef, geometry, identity, model, propagator
+from . import __version__, geometry, identity, model, propagator
 from .errors import ConfigError, VerificationFailure
 from .grid import Grid1D
-
-# fewest grid points across the narrowest packet width 1/(3 sqrt(mass)).
-# Coarser grids fail the state-norm check; grids just finer still give an
-# identity residual of order 1 (1.47 relative at 1.69 points, mass 10, t in
-# [0, 1]), far above any tolerance a passing run meets.
-MIN_POINTS_PER_WIDTH = 1.5
 
 _MODEL_KEYS = {f.name: f.default for f in dataclasses.fields(model.ModelParams)}
 _GRID_KEYS = {"x_min": -4.0, "x_max": 6.0, "n": 4096}
@@ -154,8 +147,12 @@ def _tensor_lists(cfg) -> tuple:
     # the convergence order is a fit over the sizes: one point fits no line
     if len(sizes) < 2 or len(set(sizes)) < len(sizes):
         raise ConfigError(f"sizes must be at least two distinct grid sizes, got {cfg['sizes']!r}")
-    if not recipes:
-        raise ConfigError("need at least one recipe")
+    # the verdict reads the coarsest residual first and the finest last
+    if sizes != sorted(sizes):
+        raise ConfigError(f"sizes must increase, got {cfg['sizes']!r}")
+    # each recipe's report is keyed by its name
+    if not recipes or len(set(recipes)) < len(recipes):
+        raise ConfigError(f"need at least one recipe, each named once, got {cfg['recipes']!r}")
     for name in recipes:
         if name not in geometry.NAMED_RECIPES:
             raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(geometry.NAMED_RECIPES)}")
@@ -181,46 +178,13 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, tolerances: dict):
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _model_and_grid(cfg, times):
-    """Model and grid of a run that builds the model state at `times`.
-
-    Refuses a grid too coarse for the packet and a domain that leaves more
-    of the packet outside than the state-norm check in ef accepts at any of
-    those times, with a message that names the cause.
-    """
+def _model_and_grid(cfg):
     params = model.ModelParams(**{key: cfg[key] for key in _MODEL_KEYS})
-    grid = Grid1D(x_min=cfg["x_min"], x_max=cfg["x_max"], n=cfg["n"])
-    narrowest = 1.0 / (3.0 * np.sqrt(params.mass))  # model.width where cos t = 0
-    # compared as a product: narrowest / dx can overflow for a fine grid
-    if not narrowest >= MIN_POINTS_PER_WIDTH * grid.dx:
-        raise ConfigError(
-            f"grid spacing dx = {grid.dx:.3g} gives {narrowest / grid.dx:.3g} points across the "
-            f"narrowest packet width {narrowest:.3g}; need at least {MIN_POINTS_PER_WIDTH}"
-        )
-    centres = model.mean_position(times, params)
-    widths = model.width(times, params)
-    # mass of the gaussian exp(-u^2)/(sqrt(pi) sigma) beyond each edge
-    outside = [0.5 * (math.erfc((c - grid.x_min) / s) + math.erfc((grid.x_max - c) / s))
-               for c, s in zip(centres, widths)]
-    worst = int(np.argmax(outside))
-    if not outside[worst] <= ef.NORM_TOL:
-        raise ConfigError(
-            f"domain x_min = {grid.x_min}, x_max = {grid.x_max} misses the packet: at "
-            f"t = {times[worst]:.6g} its centre {centres[worst]:.6g} (width {widths[worst]:.3g}) "
-            f"leaves {outside[worst]:.3g} of the norm outside, more than {ef.NORM_TOL:g}"
-        )
-    return params, grid
+    return params, Grid1D(x_min=cfg["x_min"], x_max=cfg["x_max"], n=cfg["n"])
 
 
 def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
-    times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
-    # refuses a delta_t that is not positive, or too large, before the stencil is built from it
-    identity.check_settings(
-        cfg["t_start"], cfg["t_end"], cfg["delta_t"], cfg["rel_tol"], cfg["mutation"]
-    )
-    # each sample also builds states at t +- delta_t and t +- 2 delta_t
-    stencil = times[:, None] + cfg["delta_t"] * np.arange(-2, 3)
-    params, grid = _model_and_grid(cfg, stencil.ravel())
+    params, grid = _model_and_grid(cfg)
     try:
         report = identity.verify(
             params, grid,
@@ -256,7 +220,6 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
         study = geometry.convergence_study(recipe, sizes=sizes, d=cfg["dimension"])
         entry = {}
         for ident, rec in study.items():
-            finest = rec["max_abs"][-1]
             base = rec["max_abs"][0]
             ok = base <= cfg["tol"]
             # order is only measurable while the residual is above roundoff
@@ -264,7 +227,7 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
                 ok = ok and rec["order"] >= cfg["slope_min"]
             entry[ident] = {
                 "max_abs": rec["max_abs"], "sizes": rec["sizes"],
-                "order": rec["order"], "finest": finest, "passed": ok,
+                "order": rec["order"], "finest": rec["max_abs"][-1], "passed": ok,
             }
             report["passed"] = report["passed"] and ok
         report["recipes"][name] = entry
@@ -280,7 +243,8 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
 
 def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
     times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
-    params, grid = _model_and_grid(cfg, times)
+    params, grid = _model_and_grid(cfg)
+    model.check_grid(params, grid, times)
     xbar = model.mean_position(times, params)
     sigma = model.width(times, params)
     t_geo = identity.t_geo_series(params, grid, times)
@@ -292,8 +256,7 @@ def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
 
 def cmd_propagate(cfg: dict, out_dir: Path) -> int:
     prop_cfg = propagator.PropagatorConfig(dt=cfg["dt"], t_end=cfg["t_end"])
-    samples = propagator.sample_steps(prop_cfg.steps, cfg["n_samples"])
-    params, grid = _model_and_grid(cfg, np.asarray(samples) * prop_cfg.dt)
+    params, grid = _model_and_grid(cfg)
     dump_path = out_dir / "trajectory.csv" if cfg["dump"] else None
     try:
         result = propagator.propagate(

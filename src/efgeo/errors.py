@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 Every refused input raises ConfigError and every failed check raises
 VerificationFailure; the command line exits 2 and 1 on them.
@@ -16,7 +16,3 @@ class VerificationFailure(Exception):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class ResolutionWarning(UserWarning):
-    """Advisory: the grid under-resolves a steep field feature."""

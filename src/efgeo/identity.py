@@ -325,12 +325,14 @@ def verify(
     """Evaluate both sides over a time range and adjudicate the readings.
 
     Raises ConfigError, before any evaluation, for settings that
-    check_settings refuses, and VerificationFailure (carrying the report)
-    when neither reading meets rel_tol in the max norm relative to the peak
-    rate.
+    check_settings refuses and for a grid that model.check_grid refuses at
+    the stencil times, and VerificationFailure (carrying the report) when
+    neither reading meets rel_tol in the max norm relative to the peak rate.
     """
-    check_settings(t_start, t_end, delta_t, rel_tol, mutation)
     times = sample_times(t_start, t_end, samples)
+    check_settings(t_start, t_end, delta_t, rel_tol, mutation)
+    # each sample also builds states at t +- delta_t and t +- 2 delta_t
+    model.check_grid(params, grid, (times[:, None] + delta_t * np.arange(-2, 3)).ravel())
     lhs = np.empty(samples)
     terms_a = np.empty((4, samples))
     terms_b = np.empty((4, samples))

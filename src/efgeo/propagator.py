@@ -137,10 +137,12 @@ def propagate(
     end-to-end check of the reverse engineering.  Each argument can be
     overridden independently (e.g. zero potential against a free-packet
     reference); h_provider(t) returns (h0, h1, h3), as
-    model.hamiltonian_entries does.
+    model.hamiltonian_entries does.  Raises ConfigError, before any state
+    is built, for a grid that model.check_grid refuses at the sample times.
     """
     n_steps = cfg.steps
     samples = sample_steps(n_steps, n_samples)
+    model.check_grid(params, grid, np.asarray(samples) * cfg.dt)
     if h_provider is None:
         h_provider = lambda t: model.hamiltonian_entries(t, grid, params)
     if initial is None:

@@ -274,6 +274,14 @@ BAD_INPUTS = {
     ],
     # a convergence order is a fit through the sizes
     "repeated_sizes": lambda p: ["verify-tensors", "--sizes", "32,32"],
+    # the verdict holds tol against the first size and reports the last as finest
+    "descending_tensor_sizes": lambda p: [
+        "verify-tensors", "--recipes", "smooth", "--dimension", "1", "--sizes", "64,40"
+    ],
+    # each recipe's entry in report.json is keyed by its name
+    "repeated_recipes": lambda p: [
+        "verify-tensors", "--recipes", "smooth,smooth", "--dimension", "1", "--sizes", "32,40"
+    ],
     "single_size": lambda p: ["verify-tensors", "--sizes", "64"],
     "zero_dimension": lambda p: ["verify-tensors", "--dimension", "0"],
     # the model's front terms vanish at t = -1 and t = -1/3
@@ -314,6 +322,19 @@ def _fresh_python(code):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
+
+
+# at t = 10 the front is resolved by 5.12 points and the identity passes at
+# a relative residual of 2e-10: a run this grid serves prints nothing on stderr
+@pytest.mark.parametrize("argv", [
+    ["verify-identity", "--t-start", "9.9", "--t-end", "10", "--samples", "2"],
+    ["emit-figure", "--t-start", "9.9", "--t-end", "10", "--samples", "2"],
+    ["propagate", "--dt", "1e-3", "--t-end", "0.3", "--n-samples", "2"],
+], ids=lambda argv: argv[0])
+def test_default_grid_run_is_silent_on_stderr(argv, tmp_path):
+    done = _fresh_python(f"import sys\nfrom efgeo import cli\n"
+                         f"sys.exit(cli.main({argv + ['--out', str(tmp_path)]!r}))")
+    assert done.returncode == 0 and done.stderr == ""
 
 
 class TestHeapThresholds:

@@ -169,6 +169,13 @@ class TestVerify:
         with pytest.raises(ConfigError):
             identity.verify(params, grid4096, **bad)
 
+    def test_domain_missing_the_packet_refused_before_any_state(self, params, monkeypatch):
+        built = []
+        monkeypatch.setattr(model, "assemble_psi", lambda *args: built.append(args))
+        with pytest.raises(ConfigError, match="misses the packet"):
+            identity.verify(params, Grid1D(5.0, 6.0, 4096), t_end=0.01, samples=2)
+        assert built == []
+
     def test_sign_flip_mutation_fails(self, params):
         grid = Grid1D(-4.0, 6.0, 2048)
         with pytest.raises(VerificationFailure) as err:

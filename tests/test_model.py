@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from efgeo import model
-from efgeo.errors import ConfigError, ResolutionWarning
+from efgeo.errors import ConfigError
 from efgeo.grid import Grid1D, five_point
 from efgeo.model import ModelParams
 
@@ -137,11 +137,6 @@ class TestBlochFields:
         b = model._Fields(0.0, grid4096, params)
         retained = b.chi_abs ** 2 > 1e-13 * np.max(b.chi_abs ** 2)
         assert np.all(b.chi_abs[retained] > 0.0)
-
-    def test_under_resolved_front_warns(self, params):
-        coarse = Grid1D(-4.0, 6.0, 256)
-        with pytest.warns(ResolutionWarning):
-            model._Fields(0.0, coarse, params)
 
 
 def _count_cumulative_integrals(monkeypatch):

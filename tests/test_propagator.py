@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from efgeo import ef, model, propagator
 from efgeo.errors import ConfigError, VerificationFailure
+from efgeo.grid import Grid1D
 
 
 def zero_h(grid):
@@ -219,6 +220,14 @@ class TestModelPropagation:
     def test_second_order_convergence(self, convergence_study):
         assert convergence_study["dts"] == [8e-4, 4e-4, 2e-4]
         assert 1.8 <= convergence_study["order"] <= 2.2
+
+    def test_domain_missing_the_packet_refused_before_any_state(self, params, monkeypatch):
+        built = []
+        monkeypatch.setattr(model, "assemble_psi", lambda *args: built.append(args))
+        cfg = propagator.PropagatorConfig(dt=1e-3, t_end=0.002)
+        with pytest.raises(ConfigError, match="misses the packet"):
+            propagator.propagate(params, Grid1D(5.0, 6.0, 4096), cfg)
+        assert built == []
 
     def test_zero_horizon_is_identity(self, params, grid4096):
         cfg = propagator.PropagatorConfig(dt=1e-4, t_end=0.0)

@@ -225,10 +225,7 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
             # order is only measurable while the residual is above roundoff
             if base > 1e-12 and not np.isnan(rec["order"]):
                 ok = ok and rec["order"] >= cfg["slope_min"]
-            entry[ident] = {
-                "max_abs": rec["max_abs"], "sizes": rec["sizes"],
-                "order": rec["order"], "finest": rec["max_abs"][-1], "passed": ok,
-            }
+            entry[ident] = {**rec, "finest": rec["max_abs"][-1], "passed": ok}
             report["passed"] = report["passed"] and ok
         report["recipes"][name] = entry
     _write_manifest(out_dir, "verify-tensors", cfg,
@@ -244,10 +241,9 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
 def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
     times = identity.sample_times(cfg["t_start"], cfg["t_end"], cfg["samples"])
     params, grid = _model_and_grid(cfg)
-    model.check_grid(params, grid, times)
+    t_geo = identity.t_geo_series(params, grid, times)  # refuses a grid before any state
     xbar = model.mean_position(times, params)
     sigma = model.width(times, params)
-    t_geo = identity.t_geo_series(params, grid, times)
     _write_manifest(out_dir, "emit-figure", cfg, {})
     _write_csv(out_dir / "figure.csv", "t,xbar,sigma,t_geo", [times, xbar, sigma, t_geo])
     print(f"figure: {times.size} samples over [{cfg['t_start']}, {cfg['t_end']}] written")

@@ -8,6 +8,10 @@ their discrete residuals are pure stencil truncation and must shrink at the
 stencil order under refinement.  Derivatives are 4th-order central stencils
 with periodic wrap; recipes must therefore produce periodic spinors.
 
+build_family evaluates a recipe into that state, a spinor array whose shape
+fixes its grid.  tensors takes the connection gradient once: the curvature
+is its antisymmetric part, and check_decompositions reads the same table.
+
 Index convention for the Christoffel symbol of the first kind, chosen so
 that the imaginary rank-3 tensor is exactly its negative:
 Gamma[m,n,t] = (d_t g[m,n] + d_n g[m,t] - d_m g[n,t]) / 2.  Classical
@@ -131,29 +135,14 @@ NAMED_RECIPES = {
 }
 
 
-@dataclass(frozen=True)
-class TwoLevelFamily:
-    """Two-level conditional state over a ParamGrid."""
+def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> np.ndarray:
+    """The two-level conditional state of a recipe over a ParamGrid: a complex
+    array of shape (2,) + grid.shape; smooth and periodic.
 
-    grid: ParamGrid
-    w: np.ndarray
-    phi: np.ndarray
-    a: np.ndarray
-
-    def spinor(self) -> np.ndarray:
-        """Complex array of shape (2,) + grid.shape; smooth and periodic.
-
-        The gauge field enters as a full overall phase, so a pure gauge
-        change a -> a + theta shifts the connection by exactly the gradient
-        of theta.
-        """
-        half = np.arccos(self.w) / 2.0
-        up = np.exp(1j * (self.a - 0.5 * self.phi)) * np.cos(half)
-        dn = np.exp(1j * (self.a + 0.5 * self.phi)) * np.sin(half)
-        return np.stack([up, dn])
-
-
-def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> TwoLevelFamily:
+    The gauge field enters as a full overall phase, so a pure gauge
+    change a -> a + theta shifts the connection by exactly the gradient
+    of theta.
+    """
     Q = grid.meshes()
     w = np.asarray(recipe.w(*Q), dtype=float)
     phi = np.asarray(recipe.phi(*Q), dtype=float)
@@ -165,14 +154,20 @@ def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> TwoLevelFamily:
             raise ConfigError(f"recipe field {name} is not finite")
     if np.max(np.abs(w)) > _W_BOUND:
         raise ConfigError(f"|w| reaches {np.max(np.abs(w)):.4f} > {_W_BOUND}")
-    return TwoLevelFamily(grid=grid, w=w, phi=phi, a=a)
+    half = np.arccos(w) / 2.0
+    up = np.exp(1j * (a - 0.5 * phi)) * np.cos(half)
+    dn = np.exp(1j * (a + 0.5 * phi)) * np.sin(half)
+    return np.stack([up, dn])
 
 
 @dataclass(frozen=True)
 class TensorFieldSet:
     """All tensors of a family: connection a[mu], curvature b[mu,nu], metric
-    g[mu,nu] and rank-3 c/d[mu,nu,tau].  The Christoffel symbol is never
-    held whole: _christoffel_pieces yields it one component at a time."""
+    g[mu,nu] and rank-3 c/d[mu,nu,tau], with the spinor's first derivatives
+    dphi[mu] and the connection gradient da[nu,tau] = d_nu a[tau], whose
+    antisymmetric part is b and which check_decompositions expands.  The
+    Christoffel symbol is never held whole: _christoffel_pieces yields it
+    one component at a time."""
 
     grid: ParamGrid
     a: np.ndarray
@@ -180,8 +175,8 @@ class TensorFieldSet:
     g: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    # first derivatives of the spinor, which check_decompositions expands
     dphi: np.ndarray = field(repr=False)
+    da: np.ndarray = field(repr=False)
 
 
 def _symmetric_derivatives(D, field, d):
@@ -208,11 +203,11 @@ def _christoffel_pieces(ts: TensorFieldSet):
         yield (mu, nu, tau), 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
 
 
-def tensors(family: TwoLevelFamily) -> TensorFieldSet:
-    """Evaluate connection, curvature, metric and the rank-3 tensors."""
-    grid = family.grid
+def tensors(phi: np.ndarray) -> TensorFieldSet:
+    """Evaluate connection, curvature, metric and the rank-3 tensors of a
+    spinor from build_family; its grid is the ParamGrid of its shape."""
+    grid = ParamGrid(phi.shape[1:])
     d = grid.d
-    phi = family.spinor()
     D = grid.diff
 
     dphi = np.stack([np.stack([D(phi[s], mu) for s in range(2)]) for mu in range(d)])
@@ -229,12 +224,9 @@ def tensors(family: TwoLevelFamily) -> TensorFieldSet:
             g[mu, nu] = val
             g[nu, mu] = val
 
-    b = np.zeros((d, d) + shape)
-    for mu in range(d):
-        for nu in range(mu + 1, d):
-            val = D(A[nu], mu) - D(A[mu], nu)
-            b[mu, nu] = val
-            b[nu, mu] = -val
+    da = np.stack([np.stack([D(A[tau], nu) for tau in range(d)]) for nu in range(d)])
+    # the curvature is the antisymmetric part: b[mu, nu] = da[mu, nu] - da[nu, mu]
+    b = da - da.swapaxes(0, 1)
 
     c = np.zeros((d, d, d) + shape)
     dten = np.zeros((d, d, d) + shape)
@@ -246,7 +238,7 @@ def tensors(family: TwoLevelFamily) -> TensorFieldSet:
                 c[mu, nu, tau] = bracket.real
                 dten[mu, nu, tau] = bracket.imag
 
-    return TensorFieldSet(grid=grid, a=A, b=b, g=g, c=c, d=dten, dphi=dphi)
+    return TensorFieldSet(grid=grid, a=A, b=b, g=g, c=c, d=dten, dphi=dphi, da=da)
 
 
 def _peak(residual):
@@ -304,9 +296,8 @@ def check_decompositions(ts: TensorFieldSet) -> dict:
     grid = ts.grid
     d = grid.d
     D = grid.diff
-    dphi, A, g, b = ts.dphi, ts.a, ts.g, ts.b
+    dphi, A, g, b, da = ts.dphi, ts.a, ts.g, ts.b, ts.da
 
-    dA = np.stack([np.stack([D(A[tau], nu) for tau in range(d)]) for nu in range(d)])
     dgaa = _symmetric_derivatives(D, lambda m, n: g[m, n] + A[m] * A[n], d)
 
     # peaks of |residual| per piece: no full residual outlives its iteration,
@@ -321,8 +312,8 @@ def check_decompositions(ts: TensorFieldSet) -> dict:
                     -raw.real
                     - 0.5 * b[mu, nu] * A[tau]
                     - 0.5 * b[mu, tau] * A[nu]
-                    + 0.5 * A[mu] * dA[nu, tau]
-                    + 0.5 * A[mu] * dA[tau, nu]
+                    + 0.5 * A[mu] * da[nu, tau]
+                    + 0.5 * A[mu] * da[tau, nu]
                 )
                 d_raw.append(_peak(ts.d[mu, nu, tau] - d_expected))
                 c_expected = (

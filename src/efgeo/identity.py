@@ -168,8 +168,10 @@ def _masked_integral(grid, values, mask):
 
 
 def t_geo_series(params, grid: Grid1D, times) -> np.ndarray:
-    """Geometric kinetic energy of the model state at each requested time."""
+    """Geometric kinetic energy of the model state at each requested time;
+    model.check_grid refuses the grid at those times before any state."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    model.check_grid(params, grid, times)
     out = np.empty(times.size)
     for i, t in enumerate(times):
         out[i] = ef.geometric_energy(_decompose_at(params, grid, t))
@@ -218,6 +220,7 @@ def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None) -> dict:
     Every integrand lives on the decomposition's window, which holds the mask.
     """
     _check_mutation(mutation)
+    model.check_grid(params, grid, [t])
     dec = _decompose_at(params, grid, t)
     ham = model.hamiltonian_entries(t, grid, params)
     I = params.inertia
@@ -260,6 +263,7 @@ def rhs_general(params, grid: Grid1D, t: float) -> GeneralFormTerms:
     The Berry-curvature term vanishes identically in one dimension, which is
     asserted rather than computed.
     """
+    model.check_grid(params, grid, [t])
     dec = _decompose_at(params, grid, t)
     ham = model.hamiltonian_entries(t, grid, params)
     I = params.inertia
@@ -284,8 +288,9 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5) -> Po
     the single time t, on the window of its decomposition.  Reported over the
     intersection of the masks used.
     """
-    decs = {dt_off: _decompose_at(params, grid, t + dt_off * delta_t)
-            for dt_off in (-2, -1, 0, 1, 2)}
+    offsets = (-2, -1, 0, 1, 2)
+    model.check_grid(params, grid, [t + off * delta_t for off in offsets])
+    decs = {off: _decompose_at(params, grid, t + off * delta_t) for off in offsets}
     dec = decs[0]
     win = dec.window
     I = params.inertia

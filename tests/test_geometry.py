@@ -160,11 +160,11 @@ class TestIdentities:
             assert study[name]["order"] >= 3.5, name
 
 
-def _whole_stack_tensors(family):
+def _whole_stack_tensors(phi):
     """The tensors as whole stacks: H stacked over the spinor components and
     the Christoffel symbol built eagerly.  Reference for the streamed code."""
-    grid, d, D = family.grid, family.grid.d, family.grid.diff
-    phi = family.spinor()
+    grid = geo.ParamGrid(phi.shape[1:])
+    d, D = grid.d, grid.diff
     dphi = np.stack([np.stack([D(phi[s], mu) for s in range(2)]) for mu in range(d)])
     A = np.stack(
         [np.imag(np.conj(phi[0]) * dphi[mu][0] + np.conj(phi[1]) * dphi[mu][1]) for mu in range(d)]
@@ -172,9 +172,11 @@ def _whole_stack_tensors(family):
     G = np.stack([-1j * dphi[mu] - A[mu] * phi for mu in range(d)])
     g = np.zeros((d, d) + grid.shape)
     b = np.zeros((d, d) + grid.shape)
+    da = np.zeros((d, d) + grid.shape)
     for mu in range(d):
         for nu in range(d):
             g[mu, nu] = np.real(np.conj(G[mu][0]) * G[nu][0] + np.conj(G[mu][1]) * G[nu][1])
+            da[mu, nu] = D(A[nu], mu)
             if mu < nu:
                 b[mu, nu] = D(A[nu], mu) - D(A[mu], nu)
                 b[nu, mu] = -b[mu, nu]
@@ -191,7 +193,7 @@ def _whole_stack_tensors(family):
     gamma = np.zeros((d, d, d) + grid.shape)
     for mu, nu, tau in np.ndindex((d,) * 3):
         gamma[mu, nu, tau] = 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
-    return {"a": A, "b": b, "g": g, "c": c, "d": dten, "gamma": gamma, "dphi": dphi}
+    return {"a": A, "b": b, "g": g, "c": c, "d": dten, "gamma": gamma, "dphi": dphi, "da": da}
 
 
 def _whole_stack_decompositions(ts):
@@ -249,7 +251,7 @@ class TestStreamedBench:
         assert got == expected
 
     def test_peak_memory_of_one_grid(self):
-        # the TensorFieldSet alone holds 87 real fields at d = 3; the whole
+        # the TensorFieldSet alone holds 96 real fields at d = 3; the whole
         # stacks (eager gamma, every second derivative of the spinor) peaked
         # at about 186
         m = 40
@@ -260,6 +262,23 @@ class TestStreamedBench:
         finally:
             tracemalloc.stop()
         assert peak <= 150 * 8 * m ** 3
+
+    @pytest.mark.parametrize("shape, calls", [((32,) * 3, 96), ((32, 32), 38)])
+    def test_each_derivative_taken_once(self, shape, calls, monkeypatch):
+        # per grid: the spinor (2d), connection gradient (d^2), H (2d^2),
+        # the raw second derivatives (2d^2) and the symmetric tables of the
+        # metric and of g + A A (d^2 (d + 1) / 2 each), plus the curvature
+        # derivatives of the exchange identity (d^2 (d - 1) / 2)
+        clean = geo.ParamGrid.diff
+        made = []
+
+        def counted(grid, values, axis):
+            made.append(axis)
+            return clean(grid, values, axis)
+
+        monkeypatch.setattr(geo.ParamGrid, "diff", counted)
+        geo.identity_residuals(geo.smooth_recipe(), geo.ParamGrid(shape))
+        assert len(made) == calls
 
 
 class TestNanResiduals:
@@ -311,12 +330,11 @@ class TestEmbeddingAgainstEF:
             phi=lambda *Q: 0.5 * np.cos(Q[0]) + 0.1,
             a=lambda *Q: 0.4 * np.sin(Q[0] + 0.6),
         )
-        family = geo.build_family(rec, pgrid)
-        ts = geo.tensors(family)
+        spinor = geo.build_family(rec, pgrid)
+        ts = geo.tensors(spinor)
 
         grid = Grid1D(0.0, L, n)
         chi = np.full(n, 1.0 / np.sqrt(L))
-        spinor = family.spinor()
         psi = ef.TwoComponentWavefunction(
             grid=grid, psi1=chi * spinor[0], psi2=chi * spinor[1]
         )

@@ -176,6 +176,21 @@ class TestVerify:
             identity.verify(params, Grid1D(5.0, 6.0, 4096), t_end=0.01, samples=2)
         assert built == []
 
+    @pytest.mark.parametrize("entry", [
+        lambda p, g: identity.t_geo_series(p, g, [0.5, 0.51]),
+        lambda p, g: identity.rhs_terms(p, g, 0.5),
+        lambda p, g: identity.rhs_general(p, g, 0.5),
+        lambda p, g: identity.pointwise_check(p, g, 0.5),
+    ], ids=["t_geo_series", "rhs_terms", "rhs_general", "pointwise_check"])
+    def test_entry_point_refuses_a_domain_missing_the_packet_before_any_state(
+        self, params, monkeypatch, entry
+    ):
+        built = []
+        monkeypatch.setattr(model, "assemble_psi", lambda *args: built.append(args))
+        with pytest.raises(ConfigError, match="misses the packet"):
+            entry(params, Grid1D(5.0, 6.0, 4096))
+        assert built == []
+
     def test_sign_flip_mutation_fails(self, params):
         grid = Grid1D(-4.0, 6.0, 2048)
         with pytest.raises(VerificationFailure) as err:

@@ -9,8 +9,11 @@ stencil order under refinement.  Derivatives are 4th-order central stencils
 with periodic wrap; recipes must therefore produce periodic spinors.
 
 build_family evaluates a recipe into that state, a spinor array whose shape
-fixes its grid.  tensors takes the connection gradient once: the curvature
-is its antisymmetric part, and check_decompositions reads the same table.
+fixes its grid.  _first_derivatives takes the whole-grid first-derivative
+fields once per grid.  Every later stencil and product is local, so
+identity_residuals builds the rank-3 tensors, the other derivative tables and
+the residuals on slabs of SLAB_ROWS axis-0 rows, reading those fields as
+stencil inputs: every point keeps the bits of the whole-grid evaluation.
 
 Index convention for the Christoffel symbol of the first kind, chosen so
 that the imaginary rank-3 tensor is exactly its negative:
@@ -29,6 +32,7 @@ from .errors import ConfigError
 from .grid import _D1_COEFFS, central_difference
 
 _W_BOUND = 1.0 - 1e-3
+SLAB_ROWS = 4  # axis-0 rows per slab: at 64^3 and 72^3 fewer rows give no lower peak RSS
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,12 @@ class ParamGrid:
         axes = [h * np.arange(m) for h, m in zip(self.spacings, self.shape)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def diff(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """4th-order central derivative along one axis, periodic wrap: the
-        stencil of Grid1D's fd4."""
+    def diff(self, values: np.ndarray, axis: int, rows: slice = slice(None)) -> np.ndarray:
+        """4th-order central derivative along one axis, periodic wrap (the
+        stencil of Grid1D's fd4), on a slice of consecutive axis-0 rows."""
         coeffs, scale = _D1_COEFFS["fd4"]
-        return central_difference(values, coeffs, scale * self.spacings[axis], axis)
+        window, values = (rows, values) if axis == 0 else (slice(None), values[rows])
+        return central_difference(values, coeffs, scale * self.spacings[axis], axis, window)
 
 
 @dataclass(frozen=True)
@@ -162,14 +167,15 @@ def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorFieldSet:
-    """All tensors of a family: connection a[mu], curvature b[mu,nu], metric
-    g[mu,nu] and rank-3 c/d[mu,nu,tau], with the spinor's first derivatives
-    dphi[mu] and the connection gradient da[nu,tau] = d_nu a[tau], whose
-    antisymmetric part is b and which check_decompositions expands.  The
-    Christoffel symbol is never held whole: _christoffel_pieces yields it
-    one component at a time."""
+    """All tensors of a family on a slab of axis-0 rows: connection a[mu],
+    curvature b[mu,nu], metric g[mu,nu] and rank-3 c/d[mu,nu,tau], with the
+    spinor's first derivatives dphi[mu] and the connection gradient
+    da[nu,tau] = d_nu a[tau], whose antisymmetric part is b.  base holds the
+    whole-grid fields that the slab's stencils read.  The Christoffel symbol
+    is never held whole: _christoffel_pieces yields it one component at a time."""
 
     grid: ParamGrid
+    rows: slice
     a: np.ndarray
     b: np.ndarray
     g: np.ndarray
@@ -177,6 +183,11 @@ class TensorFieldSet:
     d: np.ndarray
     dphi: np.ndarray = field(repr=False)
     da: np.ndarray = field(repr=False)
+    base: dict = field(repr=False)
+
+    def diff(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """The derivative of a whole-grid field on the slab's rows."""
+        return self.grid.diff(values, axis, self.rows)
 
 
 def _symmetric_derivatives(D, field, d):
@@ -196,16 +207,17 @@ def _symmetric_derivatives(D, field, d):
 
 
 def _christoffel_pieces(ts: TensorFieldSet):
-    """(mu, nu, tau) and gamma[mu,nu,tau], one component at a time, from one
-    table of the metric's derivatives."""
-    dg = _symmetric_derivatives(ts.grid.diff, lambda m, n: ts.g[m, n], ts.grid.d)
+    """(mu, nu, tau) and gamma[mu,nu,tau] on the slab, one component at a
+    time, from one table of the metric's derivatives."""
+    dg = _symmetric_derivatives(ts.diff, lambda m, n: ts.base["g"][m, n], ts.grid.d)
     for mu, nu, tau in np.ndindex((ts.grid.d,) * 3):
         yield (mu, nu, tau), 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
 
 
-def tensors(phi: np.ndarray) -> TensorFieldSet:
-    """Evaluate connection, curvature, metric and the rank-3 tensors of a
-    spinor from build_family; its grid is the ParamGrid of its shape."""
+def _first_derivatives(phi: np.ndarray) -> dict:
+    """The whole-grid fields of a spinor from build_family: a, dphi, da, g,
+    the covariant derivative G[mu] = -i dphi[mu] - a[mu] phi, and the stencil
+    inputs gaa[m, n] = g[m, n] + a[m] a[n] (m <= n) and b[m, n] (m < n)."""
     grid = ParamGrid(phi.shape[1:])
     d = grid.d
     D = grid.diff
@@ -215,30 +227,42 @@ def tensors(phi: np.ndarray) -> TensorFieldSet:
         [np.imag(np.conj(phi[0]) * dphi[mu][0] + np.conj(phi[1]) * dphi[mu][1]) for mu in range(d)]
     )
     G = np.stack([-1j * dphi[mu] - A[mu] * phi for mu in range(d)])
+    del phi  # nothing below reads it: freed here unless the caller keeps it
 
-    shape = grid.shape
-    g = np.zeros((d, d) + shape)
-    for mu in range(d):
-        for nu in range(mu, d):
-            val = np.real(np.conj(G[mu][0]) * G[nu][0] + np.conj(G[mu][1]) * G[nu][1])
-            g[mu, nu] = val
-            g[nu, mu] = val
+    pairs = [(m, n) for m in range(d) for n in range(m, d)]
+    g = np.zeros((d, d) + grid.shape)
+    for m, n in pairs:
+        g[m, n] = g[n, m] = np.real(np.conj(G[m][0]) * G[n][0] + np.conj(G[m][1]) * G[n][1])
 
     da = np.stack([np.stack([D(A[tau], nu) for tau in range(d)]) for nu in range(d)])
-    # the curvature is the antisymmetric part: b[mu, nu] = da[mu, nu] - da[nu, mu]
-    b = da - da.swapaxes(0, 1)
+    gaa = {(m, n): g[m, n] + A[m] * A[n] for m, n in pairs}
+    b = {(m, n): da[m, n] - da[n, m] for m, n in pairs if m < n}
+    return dict(grid=grid, a=A, dphi=dphi, da=da, g=g, G=G, gaa=gaa, b=b)
 
-    c = np.zeros((d, d, d) + shape)
-    dten = np.zeros((d, d, d) + shape)
+
+def _slab(base: dict, rows: slice) -> TensorFieldSet:
+    """The TensorFieldSet of a family on a slice of axis-0 rows, from the
+    whole-grid fields of _first_derivatives."""
+    grid = base["grid"]
+    d = grid.d
+    A, G, da = base["a"][:, rows], base["G"][:, :, rows], base["da"][:, :, rows]
+    c = np.zeros((d, d, d) + A.shape[1:])
+    dten = np.zeros((d, d, d) + A.shape[1:])
     for nu in range(d):
         for tau in range(d):
-            H = [-1j * D(G[tau][s], nu) - A[nu] * G[tau][s] for s in range(2)]
+            H = [-1j * grid.diff(base["G"][tau][s], nu, rows) - A[nu] * G[tau][s] for s in range(2)]
             for mu in range(d):
                 bracket = np.conj(G[mu][0]) * H[0] + np.conj(G[mu][1]) * H[1]
                 c[mu, nu, tau] = bracket.real
                 dten[mu, nu, tau] = bracket.imag
+    # the curvature is the antisymmetric part: b[mu, nu] = da[mu, nu] - da[nu, mu]
+    return TensorFieldSet(grid=grid, rows=rows, a=A, b=da - da.swapaxes(0, 1), g=base["g"][:, :, rows],
+                          c=c, d=dten, dphi=base["dphi"][:, :, rows], da=da, base=base)
 
-    return TensorFieldSet(grid=grid, a=A, b=b, g=g, c=c, d=dten, dphi=dphi, da=da)
+
+def tensors(phi: np.ndarray) -> TensorFieldSet:
+    """The TensorFieldSet of a spinor from build_family on its whole grid."""
+    return _slab(_first_derivatives(phi), slice(None))
 
 
 def _peak(residual):
@@ -259,8 +283,7 @@ def check_cb_identity(ts: TensorFieldSet) -> float:
     exactly with negation, so d_sigma b[mu,tau] = -d_sigma b[tau,mu] bit for
     bit: only tau < mu is differentiated, and the diagonal residual is c - c.
     """
-    grid = ts.grid
-    d = grid.d
+    d = ts.grid.d
     c = ts.c
 
     def pieces():
@@ -268,7 +291,7 @@ def check_cb_identity(ts: TensorFieldSet) -> float:
             for sig in range(d):
                 yield c[tau, sig, tau] - c[tau, sig, tau]
                 for mu in range(tau + 1, d):
-                    half_db = 0.5 * grid.diff(ts.b[tau, mu], sig)
+                    half_db = 0.5 * ts.diff(ts.base["b"][tau, mu], sig)
                     yield c[tau, sig, mu] - c[mu, sig, tau] - half_db
                     yield c[mu, sig, tau] - c[tau, sig, mu] + half_db
 
@@ -293,19 +316,18 @@ def check_symmetries(ts: TensorFieldSet) -> dict:
 def check_decompositions(ts: TensorFieldSet) -> dict:
     """Residuals of the raw-derivative expansions of the rank-3 tensors and
     of the real-part identity that closes them."""
-    grid = ts.grid
-    d = grid.d
-    D = grid.diff
+    d = ts.grid.d
+    D = ts.diff
     dphi, A, g, b, da = ts.dphi, ts.a, ts.g, ts.b, ts.da
 
-    dgaa = _symmetric_derivatives(D, lambda m, n: g[m, n] + A[m] * A[n], d)
+    dgaa = _symmetric_derivatives(D, lambda m, n: ts.base["gaa"][m, n], d)
 
     # peaks of |residual| per piece: no full residual outlives its iteration,
     # and the spinor's second derivatives live for one (nu, tau)
     d_raw, c_raw, real_part = [], [], []
     for nu in range(d):
         for tau in range(d):
-            ddphi = [D(dphi[tau][s], nu) for s in range(2)]
+            ddphi = [D(ts.base["dphi"][tau][s], nu) for s in range(2)]
             for mu in range(d):
                 raw = np.conj(dphi[mu][0]) * ddphi[0] + np.conj(dphi[mu][1]) * ddphi[1]
                 d_expected = (
@@ -342,13 +364,20 @@ IDENTITY_NAMES = (
 )
 
 
+def _slab_residuals(base: dict, rows: slice) -> dict:
+    """Peak |residual| of the five identities on one slab (freed on return)."""
+    ts = _slab(base, rows)
+    return {**check_decompositions(ts), "d_plus_christoffel": check_d_christoffel(ts),
+            "c_b_exchange": check_cb_identity(ts)}
+
+
 def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid) -> dict:
-    """Peak |residual| of the five identities on one grid, by name."""
-    ts = tensors(build_family(recipe, grid))
-    out = check_decompositions(ts)
-    out["d_plus_christoffel"] = check_d_christoffel(ts)
-    out["c_b_exchange"] = check_cb_identity(ts)
-    return out
+    """Peak |residual| of the five identities on one grid, by name: the
+    largest of their peaks on each slab of SLAB_ROWS axis-0 rows."""
+    base = _first_derivatives(build_family(recipe, grid))
+    slabs = [_slab_residuals(base, slice(start, start + SLAB_ROWS))
+             for start in range(0, grid.shape[0], SLAB_ROWS)]
+    return {name: _report(slab[name] for slab in slabs) for name in IDENTITY_NAMES}
 
 
 def convergence_study(recipe: FamilyRecipe, sizes, d: int) -> dict:

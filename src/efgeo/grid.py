@@ -29,22 +29,24 @@ def central_difference(f, coeffs, h, axis=-1, window=slice(None)):
 
     Every shifted operand is a slice view of one array that holds the
     w = len(coeffs) neighbours on either side of the window: f itself when the
-    window lies w points inside the axis, else one wrapped copy of f with w
-    entries of periodic image on either side.  Starts from the first term and
-    adds the rest in place: fixed order, fixed bits, so each point of a window
-    gets the bits it gets when the stencil runs over the whole axis.
+    window lies w points inside the axis, else a wrapped copy of the window's
+    points and their w neighbours on either side.  Starts from the first term
+    and adds the rest in place: fixed order, fixed bits, so each point of a
+    window gets the bits it gets when the stencil runs over the whole axis.
     """
     f = np.asarray(f)
     axis = axis % f.ndim
     n = f.shape[axis]
     w = len(coeffs)
-    lo, hi, _ = window.indices(n)
+    lo, hi, step = window.indices(n)
+    if step != 1:
+        raise ValueError(f"window {window} is not a slice of consecutive points")
+    hi = max(hi, lo)
     lead = (slice(None),) * axis
     if w <= lo and hi <= n - w:
         padded, start = f, lo
     else:
-        padded = np.concatenate([f[lead + (slice(n - w, None),)], f, f[lead + (slice(0, w),)]], axis)
-        start = lo + w
+        padded, start = np.take(f, np.arange(lo - w, hi + w), axis, mode="wrap"), w
 
     def shifted(k):
         return padded[lead + (slice(start + k, start + k + hi - lo),)]

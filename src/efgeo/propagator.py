@@ -221,11 +221,9 @@ def _record(state, ref, params, times, l2s, chi2s, ws, tgeos, t):
 
 
 def convergence_order(params, grid: Grid1D, dts, t_end: float) -> dict:
-    """Final-time L2 error for each dt plus the fitted convergence order."""
-    errors = []
-    for dt in dts:
-        cfg = PropagatorConfig(dt=dt, t_end=t_end)
-        res = propagate(params, grid, cfg, n_samples=2)
-        errors.append(res.l2_errors[-1])
+    """Final-time L2 error for each dt plus the fitted convergence order, and
+    each dt's PropagationResult, recorded at its first, middle and last step."""
+    runs = [propagate(params, grid, PropagatorConfig(dt=dt, t_end=t_end), n_samples=3) for dt in dts]
+    errors = [res.l2_errors[-1] for res in runs]
     order = float(np.polyfit(np.log(np.asarray(dts, dtype=float)), np.log(np.asarray(errors)), 1)[0])
-    return {"dts": list(dts), "l2_errors": errors, "order": order}
+    return {"dts": list(dts), "l2_errors": errors, "order": order, "runs": runs}

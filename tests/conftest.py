@@ -23,5 +23,6 @@ def grid1024():
 @pytest.fixture(scope="session")
 def convergence_study(params, grid4096):
     """Final-time L2 errors and fitted order of the model propagation at
-    three step sizes, run once for every test that reads it."""
+    three step sizes, and each run recorded at three times, run once for
+    every test that reads them."""
     return propagator.convergence_order(params, grid4096, (8e-4, 4e-4, 2e-4), t_end=0.5)

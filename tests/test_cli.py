@@ -153,14 +153,16 @@ class TestVerifyTensors:
 
     def test_nan_residual_fails(self, tmp_path):
         out = tmp_path / "vtn"
-        clean = geometry.tensors
+        clean = geometry._slab
 
-        def poisoned(family):
-            ts = clean(family)
-            ts.c[1, 1, 0][3, 4] = np.nan
+        def poisoned(base, rows):
+            # the slab holding row 3 of the grid
+            ts = clean(base, rows)
+            if rows.start <= 3 < rows.stop:
+                ts.c[1, 1, 0][3 - rows.start, 4] = np.nan
             return ts
 
-        with mock.patch.object(geometry, "tensors", poisoned):
+        with mock.patch.object(geometry, "_slab", poisoned):
             code = run(["verify-tensors", "--recipes", "smooth", "--sizes", "32,40",
                         "--out", str(out)])
         assert code == 1

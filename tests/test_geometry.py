@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efgeo import ef, geometry as geo
 from efgeo.errors import ConfigError
@@ -36,6 +38,24 @@ class TestParamGrid:
         f = np.sin(Q1 + 0.3) * np.cos(Q2)
         exact = np.cos(Q1 + 0.3) * np.cos(Q2)
         assert np.max(np.abs(grid.diff(f, 0) - exact)) <= 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_diff_on_rows_is_the_whole_derivative_on_rows(self, data):
+        # single planes, slices inside the axis, and slices that touch the
+        # wrap or whose stencil crosses it
+        shape = data.draw(st.lists(st.integers(32, 40), min_size=1, max_size=3), label="shape")
+        m = shape[0]
+        bound = st.one_of(st.none(), st.integers(-m - 2, m + 2))
+        rows = data.draw(st.one_of(
+            st.integers(-m, m - 1).map(lambda i: slice(i, i + 1 or None)),
+            st.builds(slice, bound, bound),
+        ), label="rows")
+        grid = geo.ParamGrid(shape)
+        rng = np.random.default_rng(len(shape))
+        f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for axis in range(grid.d):
+            assert np.array_equal(grid.diff(f, axis, rows), grid.diff(f, axis)[rows]), axis
 
 
 class TestRecipes:
@@ -250,8 +270,22 @@ class TestStreamedBench:
         got["d_plus_christoffel"] = geo.check_d_christoffel(ts)
         assert got == expected
 
+    @pytest.mark.parametrize("recipe", sorted(geo.NAMED_RECIPES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slabs_give_the_whole_grid_residuals(self, d, recipe):
+        # 37 rows: the last slab is shorter than SLAB_ROWS
+        m = 37
+        assert m % geo.SLAB_ROWS
+        rec = geo.NAMED_RECIPES[recipe]()
+        ts = geo.tensors(geo.build_family(rec, geo.ParamGrid((m,) * d)))
+        assert ts.rows == slice(None) and ts.c.shape == (d,) * 3 + (m,) * d
+        whole = geo.check_decompositions(ts)
+        whole["d_plus_christoffel"] = geo.check_d_christoffel(ts)
+        whole["c_b_exchange"] = geo.check_cb_identity(ts)
+        assert geo.identity_residuals(rec, geo.ParamGrid((m,) * d)) == whole
+
     def test_peak_memory_of_one_grid(self):
-        # the TensorFieldSet alone holds 96 real fields at d = 3; the whole
+        # a whole-grid TensorFieldSet held 96 real fields at d = 3; the whole
         # stacks (eager gamma, every second derivative of the spinor) peaked
         # at about 186
         m = 40
@@ -263,22 +297,37 @@ class TestStreamedBench:
             tracemalloc.stop()
         assert peak <= 150 * 8 * m ** 3
 
-    @pytest.mark.parametrize("shape, calls", [((32,) * 3, 96), ((32, 32), 38)])
-    def test_each_derivative_taken_once(self, shape, calls, monkeypatch):
-        # per grid: the spinor (2d), connection gradient (d^2), H (2d^2),
-        # the raw second derivatives (2d^2) and the symmetric tables of the
-        # metric and of g + A A (d^2 (d + 1) / 2 each), plus the curvature
-        # derivatives of the exchange identity (d^2 (d - 1) / 2)
-        clean = geo.ParamGrid.diff
-        made = []
+    def test_peak_memory_of_slabbed_grid(self):
+        # the whole-grid fields hold 54 real fields at d = 3 and each slab
+        # adds its rows' share of the rank-3 tensors and derivative tables;
+        # with c and d held whole the peak was about 132
+        m = 40
+        tracemalloc.start()
+        try:
+            geo.identity_residuals(geo.smooth_recipe(), geo.ParamGrid((m,) * 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 8 * m ** 3
 
-        def counted(grid, values, axis):
-            made.append(axis)
-            return clean(grid, values, axis)
+    @pytest.mark.parametrize("shape, fields", [((32,) * 3, 96), ((32, 32), 38)])
+    def test_each_derivative_taken_once(self, shape, fields, monkeypatch):
+        # whole fields differentiated per grid, summed over the slabs: the
+        # spinor (2d), connection gradient (d^2), H (2d^2), the raw second
+        # derivatives (2d^2) and the symmetric tables of the metric and of
+        # g + A A (d^2 (d + 1) / 2 each), plus the curvature derivatives of
+        # the exchange identity (d^2 (d - 1) / 2)
+        clean = geo.ParamGrid.diff
+        points = []
+
+        def counted(grid, values, axis, rows=slice(None)):
+            out = clean(grid, values, axis, rows)
+            points.append(out.size)
+            return out
 
         monkeypatch.setattr(geo.ParamGrid, "diff", counted)
         geo.identity_residuals(geo.smooth_recipe(), geo.ParamGrid(shape))
-        assert len(made) == calls
+        assert sum(points) == fields * np.prod(shape)
 
 
 class TestNanResiduals:

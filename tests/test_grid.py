@@ -142,6 +142,15 @@ def test_windowed_derivative_keeps_the_whole_grid_bits(method, window):
     assert np.array_equal(g.derivative(f, 1, method, window), whole[window])
 
 
+@pytest.mark.parametrize("window", [slice(0, 10, 2), slice(None, None, -1)], ids=str)
+def test_stepped_window_refused(window):
+    g = Grid1D(0.0, 7.5, 256)
+    with pytest.raises(ValueError, match="not a slice of consecutive points"):
+        g.derivative(_field(256, "real"), 1, "fd12", window)
+    with pytest.raises(ValueError, match="not a slice of consecutive points"):
+        ParamGrid((32, 32)).diff(np.zeros((32, 32)), 0, window)
+
+
 def test_complex_field_derivative():
     g = Grid1D(0.0, 2.0 * np.pi, 128)
     f = np.exp(1j * 3.0 * g.x)

@@ -1,3 +1,8 @@
+import sys
+from pathlib import Path
+
+import pytest
+
 import efgeo
 
 
@@ -5,3 +10,24 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from efgeo import *", namespace)  # raises on a name efgeo lacks
     assert set(efgeo.__all__) <= namespace.keys()
+
+
+def _tracer():
+    """The benchmark's tracer module."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import tracer
+
+    return tracer
+
+
+_TRACER = _tracer()
+
+
+@pytest.mark.parametrize("module, path, name", _TRACER.SPANS + _TRACER.CALLS + _TRACER.PROPERTIES, ids=str)
+def test_every_traced_attribute_exists(module, path, name):
+    # the tracer patches through owner.__dict__, so a renamed or deleted
+    # attribute breaks --trace 1 with a KeyError
+    owner, attr = _TRACER._resolve(module, path)
+    assert attr in owner.__dict__, name

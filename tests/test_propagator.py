@@ -200,9 +200,11 @@ class TestFreeParticle:
 
 
 class TestModelPropagation:
-    def test_short_horizon_accuracy(self, params, grid4096):
-        cfg = propagator.PropagatorConfig(dt=2e-4, t_end=0.5)
-        res = propagator.propagate(params, grid4096, cfg, n_samples=3)
+    def test_short_horizon_accuracy(self, params, grid4096, convergence_study):
+        # the dt = 2e-4, t_end = 0.5 run, recorded at three times
+        assert convergence_study["dts"][-1] == 2e-4
+        res = convergence_study["runs"][-1]
+        assert res.steps == 2500 and len(res.times) == 3
         assert res.l2_errors[-1] <= 1e-6
         assert np.max(res.chi2_errors) <= 1e-6
         assert np.max(res.w_errors) <= 1e-5

@@ -200,7 +200,7 @@ def cmd_verify_identity(cfg: dict, out_dir: Path) -> int:
     _write_json(out_dir / "report.json", report.to_dict())
     _write_csv(out_dir / "series.csv", "t,lhs,rhs_a,rhs_b,residual_a,residual_b", [
         report.times, report.lhs, report.rhs_a, report.rhs_b,
-        np.abs(report.lhs - report.rhs_a), np.abs(report.lhs - report.rhs_b),
+        report.residual("A"), report.residual("B"),
     ])
     print(
         f"identity: winner reading {report.winner}, "

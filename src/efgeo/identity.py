@@ -15,7 +15,7 @@ requires.  The verdict between them is decided numerically, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,22 +27,9 @@ MUTATIONS = ("flip_t1", "flip_t2", "flip_t3", "flip_t4", "drop_weight_t1")
 # the conditional spinor is not periodic across the wrap, so every spatial
 # derivative of the identity is a local 12th-order stencil
 METHOD = "fd12"
-# the model's front term 1 + 3t vanishes here; no state is built at or before it
-MODEL_EDGE = -1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class RhsTerms:
-    """The four right-hand-side integrals at one time, one reading."""
-
-    t1: float  # potential-gradient sandwich against dPhi
-    t2: float  # connection-weighted potential gradient
-    t3: float  # total derivative of (c_tensor * density): should vanish
-    t4: float  # metric against the connection gradient
-
-    @property
-    def total(self) -> float:
-        return self.t1 + self.t2 + self.t3 + self.t4
+# offsets, in units of delta_t, of the 5-point time stencil around a time t;
+# a rate reads the states at the four nonzero ones, in five_point's order
+STENCIL = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -88,9 +75,11 @@ class IdentityReport:
     def scale(self) -> float:
         return float(np.max(np.abs(self.lhs)))
 
+    def residual(self, reading: str) -> np.ndarray:
+        return np.abs(self.lhs - (self.rhs_a if reading == "A" else self.rhs_b))
+
     def rel_residual(self, reading: str) -> float:
-        rhs = self.rhs_a if reading == "A" else self.rhs_b
-        return float(np.max(np.abs(self.lhs - rhs)) / self.scale)
+        return float(np.max(self.residual(reading)) / self.scale)
 
     @property
     def winner(self) -> str:
@@ -115,8 +104,8 @@ class IdentityReport:
             "terms_b": self.terms_b.tolist(),
             "rhs_a": self.rhs_a.tolist(),
             "rhs_b": self.rhs_b.tolist(),
-            "residual_a": np.abs(self.lhs - self.rhs_a).tolist(),
-            "residual_b": np.abs(self.lhs - self.rhs_b).tolist(),
+            "residual_a": self.residual("A").tolist(),
+            "residual_b": self.residual("B").tolist(),
             "extras": self.extras,
         }
 
@@ -125,7 +114,7 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
     """Uniform sample times over [t_start, t_end], both ends included.
 
     The model starts at t = 0: its front terms 1 + t and 1 + 3t vanish at
-    t = -1 and t = MODEL_EDGE = -1/3.
+    t = -1 and t = model.MODEL_EDGE = -1/3.
     """
     if not t_start >= 0.0:
         raise ConfigError(f"t_start = {t_start} is negative; the model starts at t = 0")
@@ -135,18 +124,18 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
 
 
 def check_settings(t_start: float, t_end: float, delta_t: float, rel_tol: float, mutation: str):
-    """Refuse settings with which verify cannot reach a verdict: a time step
-    or tolerance that is not positive, a time step whose stencil reaches
-    MODEL_EDGE below t_start or overflows above t_end, or an unknown mutation."""
+    """Refuse settings with which verify cannot reach a verdict: a delta_t or
+    rel_tol that is not positive, a stencil that reaches model.MODEL_EDGE
+    below t_start or overflows above t_end, or an unknown mutation."""
     if not delta_t > 0.0:
         raise ConfigError(f"delta_t must be positive, got {delta_t}")
-    if not t_start - 2.0 * delta_t > MODEL_EDGE:
+    if not t_start + STENCIL[0] * delta_t > model.MODEL_EDGE:
         raise ConfigError(
             f"delta_t = {delta_t} is too large: its stencil reaches t_start - 2 delta_t = "
-            f"{t_start - 2.0 * delta_t:.6g} with t_start = {t_start}, at or below the "
+            f"{t_start + STENCIL[0] * delta_t:.6g} with t_start = {t_start}, at or below the "
             "model's edge t = -1/3"
         )
-    if not math.isfinite(t_end + 2.0 * delta_t):
+    if not math.isfinite(t_end + STENCIL[-1] * delta_t):
         raise ConfigError(f"delta_t = {delta_t} is too large: t_end + 2 delta_t overflows")
     if not rel_tol > 0.0:
         raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
@@ -172,16 +161,7 @@ def t_geo_series(params, grid: Grid1D, times) -> np.ndarray:
     model.check_grid refuses the grid at those times before any state."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     model.check_grid(params, grid, times)
-    out = np.empty(times.size)
-    for i, t in enumerate(times):
-        out[i] = ef.geometric_energy(_decompose_at(params, grid, t))
-    return out
-
-
-def _rate_local(params, grid, t, delta_t) -> float:
-    """dT_geo/dt at one time from a 5-point central stencil around t."""
-    vals = t_geo_series(params, grid, [t - 2 * delta_t, t - delta_t, t + delta_t, t + 2 * delta_t])
-    return float(five_point(*vals, delta_t))
+    return np.array([ef.geometric_energy(_decompose_at(params, grid, t)) for t in times])
 
 
 def _potential_gradient(dec, ham):
@@ -210,9 +190,13 @@ _SIGNS = {"flip_t1": (-1, 1, 1, 1), "flip_t2": (1, -1, 1, 1),
           "flip_t3": (1, 1, -1, 1), "flip_t4": (1, 1, 1, -1)}
 
 
-def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None) -> dict:
-    """The four right-hand-side integrals at time t, as {"A": RhsTerms,
-    "B": RhsTerms}.
+def rhs_terms(params, grid: Grid1D, times, mutation: str = None) -> dict:
+    """The four right-hand-side integrals at each of `times`, as {"A": array,
+    "B": array} of shape (4, len(times)); model.check_grid refuses the grid
+    at `times` before any state.  Rows t1..t4 are the potential-gradient
+    sandwich against dPhi, the connection-weighted potential gradient, the
+    flux of c_tensor * density (which should vanish) and the metric against
+    the connection gradient.
 
     Both readings come from one decomposition and one set of derivatives:
     reading B only weights the t2 and t4 integrands by the marginal density,
@@ -220,40 +204,41 @@ def rhs_terms(params, grid: Grid1D, t: float, mutation: str = None) -> dict:
     Every integrand lives on the decomposition's window, which holds the mask.
     """
     _check_mutation(mutation)
-    model.check_grid(params, grid, [t])
-    dec = _decompose_at(params, grid, t)
-    ham = model.hamiltonian_entries(t, grid, params)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    model.check_grid(params, grid, times)
     I = params.inertia
-    win = dec.window
-    mask, chi2 = dec.mask[win], dec.chi2[win]
-    phi1, phi2, dphi1, dphi2 = dec.phi1[win], dec.phi2[win], dec.dphi1[win], dec.dphi2[win]
-    up, dh1, dn = _potential_gradient(dec, ham)
-    # <Phi| dH |dPhi> (complex) and <Phi| dH |Phi> (real)
-    sand_dphi = (
-        np.conj(phi1) * (up * dphi1 + dh1 * dphi2)
-        + np.conj(phi2) * (dh1 * dphi1 + dn * dphi2)
-    )
-    sand_pop = (
-        up * np.abs(phi1) ** 2
-        + dn * np.abs(phi2) ** 2
-        + 2.0 * dh1 * np.real(np.conj(phi1) * phi2)
-    )
+    signs = _SIGNS.get(mutation, (1, 1, 1, 1))
+    terms = {"A": np.empty((4, times.size)), "B": np.empty((4, times.size))}
+    for i, t in enumerate(times):
+        dec = _decompose_at(params, grid, t)
+        ham = model.hamiltonian_entries(t, grid, params)
+        win = dec.window
+        mask, chi2 = dec.mask[win], dec.chi2[win]
+        phi1, phi2, dphi1, dphi2 = dec.phi1[win], dec.phi2[win], dec.dphi1[win], dec.dphi2[win]
+        up, dh1, dn = _potential_gradient(dec, ham)
+        # <Phi| dH |dPhi> (complex) and <Phi| dH |Phi> (real)
+        sand_dphi = (
+            np.conj(phi1) * (up * dphi1 + dh1 * dphi2)
+            + np.conj(phi2) * (dh1 * dphi1 + dn * dphi2)
+        )
+        sand_pop = (
+            up * np.abs(phi1) ** 2
+            + dn * np.abs(phi2) ** 2
+            + 2.0 * dh1 * np.real(np.conj(phi1) * phi2)
+        )
+        t1_density = np.imag(sand_dphi)
+        if mutation != "drop_weight_t1":
+            t1_density = t1_density * chi2
+        t1 = -I * _masked_integral(grid, t1_density, mask)
+        flux = grid.derivative(dec.c_tensor * dec.chi2, 1, METHOD, win)
+        t3 = -0.5 * I * I * _masked_integral(grid, flux, mask)
+        t2_density = dec.connection[win] * sand_pop
+        t4_density = dec.metric[win] * grid.derivative(dec.connection, 1, METHOD, win)
 
-    t1_density = np.imag(sand_dphi)
-    if mutation != "drop_weight_t1":
-        t1_density = t1_density * chi2
-    t1 = -I * _masked_integral(grid, t1_density, mask)
-    flux = grid.derivative(dec.c_tensor * dec.chi2, 1, METHOD, win)
-    t3 = -0.5 * I * I * _masked_integral(grid, flux, mask)
-    t2_density = dec.connection[win] * sand_pop
-    t4_density = dec.metric[win] * grid.derivative(dec.connection, 1, METHOD, win)
-
-    s = _SIGNS.get(mutation, (1, 1, 1, 1))
-    terms = {}
-    for reading, weight in (("A", 1.0), ("B", chi2)):
-        t2 = I * _masked_integral(grid, t2_density * weight, mask)
-        t4 = -I * I * _masked_integral(grid, t4_density * weight, mask)
-        terms[reading] = RhsTerms(t1=s[0] * t1, t2=s[1] * t2, t3=s[2] * t3, t4=s[3] * t4)
+        for reading, weight in (("A", 1.0), ("B", chi2)):
+            t2 = I * _masked_integral(grid, t2_density * weight, mask)
+            t4 = -I * I * _masked_integral(grid, t4_density * weight, mask)
+            terms[reading][:, i] = np.multiply(signs, (t1, t2, t3, t4))
     return terms
 
 
@@ -288,10 +273,10 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5) -> Po
     the single time t, on the window of its decomposition.  Reported over the
     intersection of the masks used.
     """
-    offsets = (-2, -1, 0, 1, 2)
-    model.check_grid(params, grid, [t + off * delta_t for off in offsets])
-    decs = {off: _decompose_at(params, grid, t + off * delta_t) for off in offsets}
-    dec = decs[0]
+    times = t + delta_t * np.array(STENCIL)
+    model.check_grid(params, grid, times)
+    decs = [_decompose_at(params, grid, s) for s in times]
+    dec = decs[STENCIL.index(0.0)]
     win = dec.window
     I = params.inertia
     ham = model.hamiltonian_entries(t, grid, params)
@@ -307,11 +292,9 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5) -> Po
         - I * I * dec.metric[win] * D(dec.connection)
     )
 
-    lhs = 0.5 * I * five_point(*(decs[off].metric[win] for off in (-2, -1, 1, 2)), delta_t)
+    lhs = 0.5 * I * five_point(*(d.metric[win] for off, d in zip(STENCIL, decs) if off), delta_t)
 
-    mask = dec.mask[win].copy()
-    for off in (-2, -1, 1, 2):
-        mask &= decs[off].mask[win]
+    mask = np.logical_and.reduce([d.mask[win] for d in decs])
     residual = np.abs(lhs - rhs)[mask]
     scale = float(np.max(np.abs(lhs[mask])))
     return PointwiseReport(max_residual=float(np.max(residual)), scale=scale)
@@ -336,18 +319,14 @@ def verify(
     """
     times = sample_times(t_start, t_end, samples)
     check_settings(t_start, t_end, delta_t, rel_tol, mutation)
-    # each sample also builds states at t +- delta_t and t +- 2 delta_t
-    model.check_grid(params, grid, (times[:, None] + delta_t * np.arange(-2, 3)).ravel())
-    lhs = np.empty(samples)
-    terms_a = np.empty((4, samples))
-    terms_b = np.empty((4, samples))
-    for i, t in enumerate(times):
-        lhs[i] = _rate_local(params, grid, t, delta_t)
-        terms = rhs_terms(params, grid, t, mutation)
-        terms_a[:, i] = astuple(terms["A"])
-        terms_b[:, i] = astuple(terms["B"])
+    # row i holds the stencil times of sample i; the rate reads all but t itself
+    stencil = times[:, None] + delta_t * np.array(STENCIL)
+    model.check_grid(params, grid, stencil.ravel())
+    rate_times = stencil[:, [off != 0.0 for off in STENCIL]]
+    t_geo = t_geo_series(params, grid, rate_times.ravel()).reshape(rate_times.shape)
+    terms = rhs_terms(params, grid, times, mutation)
     report = IdentityReport(
-        times=times, lhs=lhs, terms_a=terms_a, terms_b=terms_b,
+        times=times, lhs=five_point(*t_geo.T, delta_t), terms_a=terms["A"], terms_b=terms["B"],
         rel_tol=rel_tol, mutation=mutation,
         extras={
             "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n},

@@ -26,6 +26,8 @@ _CLIP = 700.0  # exp argument guard
 # identity residual of order 1 (1.47 relative at 1.69 points, mass 10, t in
 # [0, 1]), far above any tolerance a passing run meets.
 MIN_POINTS_PER_WIDTH = 1.5
+# the model's front term 1 + 3t vanishes here; no state is built at or before it
+MODEL_EDGE = -1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,10 @@ def vector_potential(x, t, params: ModelParams):
 
 
 def check_grid(params: ModelParams, grid: Grid1D, times):
-    """Refuse a grid too coarse for the packet, or a domain that leaves more of
-    it outside than the state-norm check in ef accepts at any of `times`."""
+    """Refuse a time at or before MODEL_EDGE, a grid too coarse for the packet,
+    or a domain leaving more of it outside than ef's norm check accepts at `times`."""
+    if not np.all(np.asarray(times) > MODEL_EDGE):
+        raise ConfigError(f"t = {np.min(times):.6g} is at or before the model's edge t = -1/3")
     narrowest = 1.0 / (3.0 * np.sqrt(params.mass))  # width where cos t = 0
     # compared as a product: narrowest / dx can overflow for a fine grid
     if not narrowest >= MIN_POINTS_PER_WIDTH * grid.dx:

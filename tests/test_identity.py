@@ -1,16 +1,22 @@
 import json
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from efgeo import ef, identity, model
 from efgeo.errors import ConfigError, VerificationFailure
-from efgeo.grid import Grid1D
+from efgeo.grid import Grid1D, five_point
 
 # independent oracle: closed-form metric integrated against the gaussian
 # density with a 2^18-point rectangle rule
 T_GEO_AT_ZERO = 1.6715843808924357e-10
+
+
+def _rate(params, grid, t, delta_t):
+    """dT_geo/dt at one time t: the 5-point rate over the energy at
+    t - 2 delta_t, t - delta_t, t + delta_t and t + 2 delta_t."""
+    vals = identity.t_geo_series(params, grid, [t - 2 * delta_t, t - delta_t, t + delta_t, t + 2 * delta_t])
+    return float(five_point(*vals, delta_t))
 
 
 class TestGeometricEnergySeries:
@@ -26,22 +32,22 @@ class TestGeometricEnergySeries:
 class TestLhsRate:
     @pytest.mark.parametrize("t", [0.5, 1.5])
     def test_step_size_self_consistency(self, params, grid4096, t):
-        coarse = identity._rate_local(params, grid4096, t, 1e-3)
-        fine = identity._rate_local(params, grid4096, t, 1e-4)
+        coarse = _rate(params, grid4096, t, 1e-3)
+        fine = _rate(params, grid4096, t, 1e-4)
         assert abs(coarse - fine) <= 1e-8 * max(1.0, abs(fine))
 
 
 class TestRhsTerms:
     @pytest.mark.parametrize("t", [0.3, 2.1])
     def test_flux_term_is_negligible(self, params, grid4096, t):
-        terms = identity.rhs_terms(params, grid4096, t)["B"]
-        assert abs(terms.t3) <= 1e-10
+        t1, t2, t3, t4 = identity.rhs_terms(params, grid4096, t)["B"][:, 0]
+        assert abs(t3) <= 1e-10
 
     def test_reading_b_matches_rate(self, params, grid4096):
         t = 1.6
-        lhs = identity._rate_local(params, grid4096, t, 1e-4)
-        terms = identity.rhs_terms(params, grid4096, t)
-        total_a, total_b = terms["A"].total, terms["B"].total
+        lhs = _rate(params, grid4096, t, 1e-4)
+        terms = identity.rhs_terms(params, grid4096, [t])
+        total_a, total_b = terms["A"][:, 0].sum(), terms["B"][:, 0].sum()
         assert abs(lhs - total_b) <= 1e-9 * max(1.0, abs(lhs))
         assert abs(lhs - total_a) > 1e3 * abs(lhs - total_b)
 
@@ -51,12 +57,12 @@ class TestRhsTerms:
 
     @pytest.mark.parametrize("t", [0.4, 1.0, 3.0])
     def test_general_form_agrees_with_model_form(self, params, grid4096, t):
-        terms = identity.rhs_terms(params, grid4096, t)["B"]
+        t1, t2, t3, t4 = identity.rhs_terms(params, grid4096, t)["B"][:, 0]
         gen = identity.rhs_general(params, grid4096, t)
         scale = max(1.0, abs(gen.force), abs(gen.transport))
         assert gen.curvature == 0.0
-        assert abs(gen.force - (terms.t1 + terms.t2)) <= 1e-12 * scale
-        assert abs(gen.transport - terms.t4) <= 1e-12 * scale
+        assert abs(gen.force - (t1 + t2)) <= 1e-12 * scale
+        assert abs(gen.transport - t4) <= 1e-12 * scale
 
 
 def _old_rhs_terms(params, grid, t, reading, mutation):
@@ -111,21 +117,39 @@ def _count_calls(monkeypatch, owner, name):
 class TestOnePass:
     @pytest.mark.parametrize("mutation", [None, *identity.MUTATIONS])
     def test_readings_keep_the_per_reading_bits(self, params, grid4096, mutation):
-        terms = identity.rhs_terms(params, grid4096, 0.7, mutation)
+        times = [0.7, 1.3]
+        terms = identity.rhs_terms(params, grid4096, times, mutation)
         for reading in ("A", "B"):
-            old = _old_rhs_terms(params, grid4096, 0.7, reading, mutation)
-            assert np.array_equal(astuple(terms[reading]), old), reading
+            assert terms[reading].shape == (4, len(times))
+            for column, t in zip(terms[reading].T, times):
+                old = _old_rhs_terms(params, grid4096, t, reading, mutation)
+                assert np.array_equal(column, old), (reading, t)
 
     def test_verify_evaluates_each_sample_once(self, params, grid1024, monkeypatch):
         derivative = _count_calls(monkeypatch, Grid1D, "derivative")
         rhs = _count_calls(monkeypatch, identity, "rhs_terms")
         k = 3
-        identity.verify(params, grid1024, 0.0, 0.5, samples=k, delta_t=4e-4, rel_tol=1.0)
+        report = identity.verify(params, grid1024, 0.0, 0.5, samples=k, delta_t=4e-4, rel_tol=1.0)
         # per sample: 4 decompositions for the rate, which read only the
         # metric (2 derivatives each), 1 whose rank-3 bracket is also read
         # (4), then the potential gradient (3), the flux and dA/dx
         assert len(derivative) == 17 * k
-        assert len(rhs) == k
+        # one right-side series covers every sample
+        assert len(rhs) == 1
+        assert np.array_equal(rhs[0][2], report.times)
+
+    def test_verify_rate_is_the_five_point_rate_of_each_sample(self, params, grid1024):
+        report = identity.verify(params, grid1024, 0.0, 0.5, samples=4, delta_t=4e-4, rel_tol=1.0)
+        expected = [_rate(params, grid1024, t, 4e-4) for t in report.times]
+        assert np.array_equal(report.lhs, expected)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_verify_checks_the_grid_once_per_series(self, params, grid1024, monkeypatch, k):
+        # verify's own check over every stencil time, then one each in
+        # t_geo_series and rhs_terms
+        checks = _count_calls(monkeypatch, model, "check_grid")
+        identity.verify(params, grid1024, 0.0, 0.5, samples=k, delta_t=4e-4, rel_tol=1.0)
+        assert len(checks) == 3
 
     def test_t_geo_series_differentiates_only_to_decompose(self, params, grid1024, monkeypatch):
         derivative = _count_calls(monkeypatch, Grid1D, "derivative")
@@ -178,7 +202,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("entry", [
         lambda p, g: identity.t_geo_series(p, g, [0.5, 0.51]),
-        lambda p, g: identity.rhs_terms(p, g, 0.5),
+        lambda p, g: identity.rhs_terms(p, g, [0.5, 0.51]),
         lambda p, g: identity.rhs_general(p, g, 0.5),
         lambda p, g: identity.pointwise_check(p, g, 0.5),
     ], ids=["t_geo_series", "rhs_terms", "rhs_general", "pointwise_check"])
@@ -189,6 +213,23 @@ class TestVerify:
         monkeypatch.setattr(model, "assemble_psi", lambda *args: built.append(args))
         with pytest.raises(ConfigError, match="misses the packet"):
             entry(params, Grid1D(5.0, 6.0, 4096))
+        assert built == []
+
+    # each builds a state at t = -0.5, or (delta_t = 0.2 around t = 0) at
+    # t = -0.4, past the model's edge at -1/3 where 1 + 3t vanishes
+    @pytest.mark.parametrize("entry", [
+        lambda p, g: identity.t_geo_series(p, g, [-0.5]),
+        lambda p, g: identity.rhs_terms(p, g, -0.5),
+        lambda p, g: identity.rhs_general(p, g, -0.5),
+        lambda p, g: identity.pointwise_check(p, g, 0.0, delta_t=0.2),
+    ], ids=["t_geo_series", "rhs_terms", "rhs_general", "pointwise_check"])
+    def test_entry_point_refuses_a_time_past_the_model_edge_before_any_state(
+        self, params, grid4096, monkeypatch, entry
+    ):
+        built = []
+        monkeypatch.setattr(model, "assemble_psi", lambda *args: built.append(args))
+        with pytest.raises(ConfigError, match="model's edge"):
+            entry(params, grid4096)
         assert built == []
 
     def test_sign_flip_mutation_fails(self, params):

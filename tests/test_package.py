@@ -1,3 +1,4 @@
+import re
 import sys
 from pathlib import Path
 
@@ -31,3 +32,12 @@ def test_every_traced_attribute_exists(module, path, name):
     # attribute breaks --trace 1 with a KeyError
     owner, attr = _TRACER._resolve(module, path)
     assert attr in owner.__dict__, name
+
+
+def test_readme_python_example_runs(capsys):
+    # the library example must keep up with the API it shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

@@ -9,11 +9,13 @@ stencil order under refinement.  Derivatives are 4th-order central stencils
 with periodic wrap; recipes must therefore produce periodic spinors.
 
 build_family evaluates a recipe into that state, a spinor array whose shape
-fixes its grid.  _first_derivatives takes the whole-grid first-derivative
-fields once per grid.  Every later stencil and product is local, so
-identity_residuals builds the rank-3 tensors, the other derivative tables and
-the residuals on slabs of SLAB_ROWS axis-0 rows, reading those fields as
-stencil inputs: every point keeps the bits of the whole-grid evaluation.
+fixes its grid.  Every stencil and product is local, so identity_residuals
+works on slabs of about SLAB_POINTS grid points, whole axis-0 rows each.
+_first_derivatives takes a slab's first-derivative fields from a wrapped copy
+of the slab's spinor rows and three stencil half-widths on either side of
+them; the rank-3 tensors, the other derivative tables and the residuals of
+the slab then read those fields as stencil inputs.  No axis-0 stencil wraps
+after the copy, and every point keeps the bits of the whole-grid evaluation.
 
 Index convention for the Christoffel symbol of the first kind, chosen so
 that the imaginary rank-3 tensor is exactly its negative:
@@ -32,7 +34,9 @@ from .errors import ConfigError
 from .grid import _D1_COEFFS, central_difference
 
 _W_BOUND = 1.0 - 1e-3
-SLAB_ROWS = 4  # axis-0 rows per slab: at 64^3 and 72^3 fewer rows give no lower peak RSS
+# grid points per slab, in whole axis-0 rows and at least one: at 72^3, 2 to 4
+# rows' worth peak at the spinor's build (85 MB RSS), 6 and 8 at 94 and 107 MB
+SLAB_POINTS = 4 * 72 ** 2
 
 
 @dataclass(frozen=True)
@@ -167,12 +171,13 @@ def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorFieldSet:
-    """All tensors of a family on a slab of axis-0 rows: connection a[mu],
-    curvature b[mu,nu], metric g[mu,nu] and rank-3 c/d[mu,nu,tau], with the
-    spinor's first derivatives dphi[mu] and the connection gradient
+    """All tensors of a family on a slab of axis-0 grid rows: connection
+    a[mu], curvature b[mu,nu], metric g[mu,nu] and rank-3 c/d[mu,nu,tau], with
+    the spinor's first derivatives dphi[mu] and the connection gradient
     da[nu,tau] = d_nu a[tau], whose antisymmetric part is b.  base holds the
-    whole-grid fields that the slab's stencils read.  The Christoffel symbol
-    is never held whole: _christoffel_pieces yields it one component at a time."""
+    slab's fields from _first_derivatives, with the rows that the slab's
+    stencils read on either side.  The Christoffel symbol is never held
+    whole: _christoffel_pieces yields it one component at a time."""
 
     grid: ParamGrid
     rows: slice
@@ -186,8 +191,8 @@ class TensorFieldSet:
     base: dict = field(repr=False)
 
     def diff(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """The derivative of a whole-grid field on the slab's rows."""
-        return self.grid.diff(values, axis, self.rows)
+        """The derivative of a field of base on the slab's rows."""
+        return self.grid.diff(values, axis, self.base["window"])
 
 
 def _symmetric_derivatives(D, field, d):
@@ -214,55 +219,72 @@ def _christoffel_pieces(ts: TensorFieldSet):
         yield (mu, nu, tau), 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
 
 
-def _first_derivatives(phi: np.ndarray) -> dict:
-    """The whole-grid fields of a spinor from build_family: a, dphi, da, g,
-    the covariant derivative G[mu] = -i dphi[mu] - a[mu] phi, and the stencil
-    inputs gaa[m, n] = g[m, n] + a[m] a[n] (m <= n) and b[m, n] (m < n)."""
+def _first_derivatives(phi: np.ndarray, rows: slice) -> dict:
+    """The fields of a spinor from build_family that a slab of axis-0 rows
+    reads: a, dphi, da, g, the covariant derivative G[mu] = -i dphi[mu] -
+    a[mu] phi, and the stencil inputs gaa[m, n] = g[m, n] + a[m] a[n] (m <= n)
+    and b[m, n] (m < n).
+
+    Each field holds the slab's rows and one fd4 half-width on either side;
+    window is the slab's rows among them.  The fields come from a copy of the
+    slab's spinor rows and three half-widths on either side, wrapped round
+    the axis: dphi and a are taken with two half-widths on either side of
+    the slab's rows, the rest with one.
+    """
     grid = ParamGrid(phi.shape[1:])
     d = grid.d
     D = grid.diff
+    lo, hi, _ = rows.indices(grid.shape[0])
+    w = len(_D1_COEFFS["fd4"][0])
+    phi = np.take(phi, np.arange(lo - 3 * w, hi + 3 * w), axis=1, mode="wrap")
+    outer = slice(w, phi.shape[1] - w)  # two half-widths on either side of the slab
 
-    dphi = np.stack([np.stack([D(phi[s], mu) for s in range(2)]) for mu in range(d)])
+    dphi = np.stack([np.stack([D(phi[s], mu, outer) for s in range(2)]) for mu in range(d)])
+    phi = phi[:, outer]
     A = np.stack(
         [np.imag(np.conj(phi[0]) * dphi[mu][0] + np.conj(phi[1]) * dphi[mu][1]) for mu in range(d)]
     )
+    inner = slice(w, phi.shape[1] - w)  # one half-width on either side of the slab
+    da = np.stack([np.stack([D(A[tau], nu, inner) for tau in range(d)]) for nu in range(d)])
+    phi, dphi, A = phi[:, inner], dphi[:, :, inner], A[:, inner]
     G = np.stack([-1j * dphi[mu] - A[mu] * phi for mu in range(d)])
-    del phi  # nothing below reads it: freed here unless the caller keeps it
 
     pairs = [(m, n) for m in range(d) for n in range(m, d)]
-    g = np.zeros((d, d) + grid.shape)
+    g = np.zeros((d, d) + G.shape[2:])
     for m, n in pairs:
         g[m, n] = g[n, m] = np.real(np.conj(G[m][0]) * G[n][0] + np.conj(G[m][1]) * G[n][1])
 
-    da = np.stack([np.stack([D(A[tau], nu) for tau in range(d)]) for nu in range(d)])
     gaa = {(m, n): g[m, n] + A[m] * A[n] for m, n in pairs}
     b = {(m, n): da[m, n] - da[n, m] for m, n in pairs if m < n}
-    return dict(grid=grid, a=A, dphi=dphi, da=da, g=g, G=G, gaa=gaa, b=b)
+    return dict(grid=grid, window=slice(w, w + hi - lo), a=A, dphi=dphi, da=da, g=g, G=G,
+                gaa=gaa, b=b)
 
 
-def _slab(base: dict, rows: slice) -> TensorFieldSet:
-    """The TensorFieldSet of a family on a slice of axis-0 rows, from the
-    whole-grid fields of _first_derivatives."""
-    grid = base["grid"]
+def _slab(phi: np.ndarray, rows: slice) -> TensorFieldSet:
+    """The TensorFieldSet of a spinor from build_family on a slice of axis-0
+    rows, from the slab's fields of _first_derivatives."""
+    base = _first_derivatives(phi, rows)
+    grid, window = base["grid"], base["window"]
     d = grid.d
-    A, G, da = base["a"][:, rows], base["G"][:, :, rows], base["da"][:, :, rows]
+    A, G, da = base["a"][:, window], base["G"][:, :, window], base["da"][:, :, window]
     c = np.zeros((d, d, d) + A.shape[1:])
     dten = np.zeros((d, d, d) + A.shape[1:])
     for nu in range(d):
         for tau in range(d):
-            H = [-1j * grid.diff(base["G"][tau][s], nu, rows) - A[nu] * G[tau][s] for s in range(2)]
+            H = [-1j * grid.diff(base["G"][tau][s], nu, window) - A[nu] * G[tau][s] for s in range(2)]
             for mu in range(d):
                 bracket = np.conj(G[mu][0]) * H[0] + np.conj(G[mu][1]) * H[1]
                 c[mu, nu, tau] = bracket.real
                 dten[mu, nu, tau] = bracket.imag
     # the curvature is the antisymmetric part: b[mu, nu] = da[mu, nu] - da[nu, mu]
-    return TensorFieldSet(grid=grid, rows=rows, a=A, b=da - da.swapaxes(0, 1), g=base["g"][:, :, rows],
-                          c=c, d=dten, dphi=base["dphi"][:, :, rows], da=da, base=base)
+    return TensorFieldSet(grid=grid, rows=rows, a=A, b=da - da.swapaxes(0, 1),
+                          g=base["g"][:, :, window], c=c, d=dten,
+                          dphi=base["dphi"][:, :, window], da=da, base=base)
 
 
 def tensors(phi: np.ndarray) -> TensorFieldSet:
     """The TensorFieldSet of a spinor from build_family on its whole grid."""
-    return _slab(_first_derivatives(phi), slice(None))
+    return _slab(phi, slice(None))
 
 
 def _peak(residual):
@@ -364,19 +386,21 @@ IDENTITY_NAMES = (
 )
 
 
-def _slab_residuals(base: dict, rows: slice) -> dict:
+def _slab_residuals(phi: np.ndarray, rows: slice) -> dict:
     """Peak |residual| of the five identities on one slab (freed on return)."""
-    ts = _slab(base, rows)
+    ts = _slab(phi, rows)
     return {**check_decompositions(ts), "d_plus_christoffel": check_d_christoffel(ts),
             "c_b_exchange": check_cb_identity(ts)}
 
 
 def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid) -> dict:
     """Peak |residual| of the five identities on one grid, by name: the
-    largest of their peaks on each slab of SLAB_ROWS axis-0 rows."""
-    base = _first_derivatives(build_family(recipe, grid))
-    slabs = [_slab_residuals(base, slice(start, start + SLAB_ROWS))
-             for start in range(0, grid.shape[0], SLAB_ROWS)]
+    largest of their peaks on each slab of SLAB_POINTS // (points per axis-0
+    row) rows, at least one."""
+    phi = build_family(recipe, grid)
+    step = max(1, SLAB_POINTS // int(np.prod(grid.shape[1:])))
+    slabs = [_slab_residuals(phi, slice(start, min(start + step, grid.shape[0])))
+             for start in range(0, grid.shape[0], step)]
     return {name: _report(slab[name] for slab in slabs) for name in IDENTITY_NAMES}
 
 

@@ -127,6 +127,15 @@ def check_settings(t_start: float, t_end: float, delta_t: float, rel_tol: float,
     """Refuse settings with which verify cannot reach a verdict: a delta_t or
     rel_tol that is not positive, a stencil that reaches model.MODEL_EDGE
     below t_start or overflows above t_end, or an unknown mutation."""
+    _check_stencil(t_start, t_end, delta_t)
+    if not rel_tol > 0.0:
+        raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
+    _check_mutation(mutation)
+
+
+def _check_stencil(t_start, t_end, delta_t):
+    """Refuse a delta_t that is not positive, or whose stencil around
+    [t_start, t_end] reaches model.MODEL_EDGE or overflows."""
     if not delta_t > 0.0:
         raise ConfigError(f"delta_t must be positive, got {delta_t}")
     if not t_start + STENCIL[0] * delta_t > model.MODEL_EDGE:
@@ -137,9 +146,6 @@ def check_settings(t_start: float, t_end: float, delta_t: float, rel_tol: float,
         )
     if not math.isfinite(t_end + STENCIL[-1] * delta_t):
         raise ConfigError(f"delta_t = {delta_t} is too large: t_end + 2 delta_t overflows")
-    if not rel_tol > 0.0:
-        raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
-    _check_mutation(mutation)
 
 
 def _check_mutation(mutation):
@@ -273,6 +279,7 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5) -> Po
     the single time t, on the window of its decomposition.  Reported over the
     intersection of the masks used.
     """
+    _check_stencil(t, t, delta_t)
     times = t + delta_t * np.array(STENCIL)
     model.check_grid(params, grid, times)
     decs = [_decompose_at(params, grid, s) for s in times]

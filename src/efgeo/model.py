@@ -139,8 +139,13 @@ def vector_potential(x, t, params: ModelParams):
 
 
 def check_grid(params: ModelParams, grid: Grid1D, times):
-    """Refuse a time at or before MODEL_EDGE, a grid too coarse for the packet,
-    or a domain leaving more of it outside than ef's norm check accepts at `times`."""
+    """Refuse no times or a NaN time, a time at or before MODEL_EDGE, a grid too
+    coarse for the packet, or a domain leaving more of it outside than ef's
+    norm check accepts at `times`."""
+    if np.size(times) == 0:
+        raise ConfigError("no times to check the grid at")
+    if np.any(np.isnan(times)):
+        raise ConfigError("a time is NaN")
     if not np.all(np.asarray(times) > MODEL_EDGE):
         raise ConfigError(f"t = {np.min(times):.6g} is at or before the model's edge t = -1/3")
     narrowest = 1.0 / (3.0 * np.sqrt(params.mass))  # width where cos t = 0

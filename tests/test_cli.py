@@ -155,9 +155,9 @@ class TestVerifyTensors:
         out = tmp_path / "vtn"
         clean = geometry._slab
 
-        def poisoned(base, rows):
+        def poisoned(phi, rows):
             # the slab holding row 3 of the grid
-            ts = clean(base, rows)
+            ts = clean(phi, rows)
             if rows.start <= 3 < rows.stop:
                 ts.c[1, 1, 0][3 - rows.start, 4] = np.nan
             return ts

@@ -273,9 +273,11 @@ class TestStreamedBench:
     @pytest.mark.parametrize("recipe", sorted(geo.NAMED_RECIPES))
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_slabs_give_the_whole_grid_residuals(self, d, recipe):
-        # 37 rows: the last slab is shorter than SLAB_ROWS
+        # 37 rows: one slab at d = 1 and 2; at d = 3 slabs of
+        # SLAB_POINTS // 37^2 = 15 rows, the last one 7 rows short
         m = 37
-        assert m % geo.SLAB_ROWS
+        rows = geo.SLAB_POINTS // m ** (d - 1)
+        assert (rows >= m) if d < 3 else (m % rows)
         rec = geo.NAMED_RECIPES[recipe]()
         ts = geo.tensors(geo.build_family(rec, geo.ParamGrid((m,) * d)))
         assert ts.rows == slice(None) and ts.c.shape == (d,) * 3 + (m,) * d
@@ -298,9 +300,10 @@ class TestStreamedBench:
         assert peak <= 150 * 8 * m ** 3
 
     def test_peak_memory_of_slabbed_grid(self):
-        # the whole-grid fields hold 54 real fields at d = 3 and each slab
-        # adds its rows' share of the rank-3 tensors and derivative tables;
-        # with c and d held whole the peak was about 132
+        # build_family peaks at 15 real fields at d = 3; each slab of 12 rows
+        # then holds its first-derivative fields with their halo rows and its
+        # rows' share of the rank-3 tensors and derivative tables: the peak
+        # is about 57.1
         m = 40
         tracemalloc.start()
         try:
@@ -308,7 +311,7 @@ class TestStreamedBench:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * 8 * m ** 3
+        assert peak <= 60 * 8 * m ** 3
 
     @pytest.mark.parametrize("shape, fields", [((32,) * 3, 96), ((32, 32), 38)])
     def test_each_derivative_taken_once(self, shape, fields, monkeypatch):
@@ -316,7 +319,9 @@ class TestStreamedBench:
         # spinor (2d), connection gradient (d^2), H (2d^2), the raw second
         # derivatives (2d^2) and the symmetric tables of the metric and of
         # g + A A (d^2 (d + 1) / 2 each), plus the curvature derivatives of
-        # the exchange identity (d^2 (d - 1) / 2)
+        # the exchange identity (d^2 (d - 1) / 2); and on each slab's halo
+        # rows, the spinor's 2d derivatives on 2 x 4 rows and the d^2 of the
+        # connection on 2 x 2: (16 d + 4 d^2) rows' worth per slab
         clean = geo.ParamGrid.diff
         points = []
 
@@ -327,7 +332,63 @@ class TestStreamedBench:
 
         monkeypatch.setattr(geo.ParamGrid, "diff", counted)
         geo.identity_residuals(geo.smooth_recipe(), geo.ParamGrid(shape))
-        assert sum(points) == fields * np.prod(shape)
+        d, m = len(shape), shape[0]
+        slabs = {3: 2, 2: 1}[d]  # 32^3: slabs of SLAB_POINTS // 32^2 = 20 and 12 rows
+        assert sum(points) == (fields * m + (16 * d + 4 * d * d) * slabs) * m ** (d - 1)
+
+
+def _whole_grid_base(phi):
+    """The first-derivative fields of _first_derivatives on every row of the
+    grid at once, as they were taken before each slab took its own.  Oracle
+    for the per-slab fields."""
+    grid = geo.ParamGrid(phi.shape[1:])
+    d = grid.d
+    D = grid.diff
+    dphi = np.stack([np.stack([D(phi[s], mu) for s in range(2)]) for mu in range(d)])
+    A = np.stack(
+        [np.imag(np.conj(phi[0]) * dphi[mu][0] + np.conj(phi[1]) * dphi[mu][1]) for mu in range(d)]
+    )
+    G = np.stack([-1j * dphi[mu] - A[mu] * phi for mu in range(d)])
+    pairs = [(m, n) for m in range(d) for n in range(m, d)]
+    g = np.zeros((d, d) + grid.shape)
+    for m, n in pairs:
+        g[m, n] = g[n, m] = np.real(np.conj(G[m][0]) * G[n][0] + np.conj(G[m][1]) * G[n][1])
+    da = np.stack([np.stack([D(A[tau], nu) for tau in range(d)]) for nu in range(d)])
+    gaa = {(m, n): g[m, n] + A[m] * A[n] for m, n in pairs}
+    b = {(m, n): da[m, n] - da[n, m] for m, n in pairs if m < n}
+    return dict(a=A, dphi=dphi, da=da, g=g, G=G, gaa=gaa, b=b)
+
+
+class TestSlabBase:
+    @pytest.mark.parametrize("where", ["first", "last", "short last", "any"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_slab_base_is_the_whole_grid_base_on_its_rows(self, where, data):
+        # the first and last slabs' halos wrap round the axis; each field
+        # holds the slab's rows and 2 more on either side
+        shape = data.draw(st.lists(st.integers(32, 40), min_size=1, max_size=3), label="shape")
+        m = shape[0]
+        if where == "short last":
+            step = data.draw(st.integers(1, m - 1).filter(lambda k: m % k), label="step")
+        else:
+            step = data.draw(st.integers(1, m + 2), label="step")
+        starts = range(0, m, step)
+        start = {"first": starts[0], "last": starts[-1], "short last": starts[-1]}.get(where)
+        if start is None:
+            start = data.draw(st.sampled_from(starts), label="start")
+        rows = slice(start, min(start + step, m))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        phi = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+        base = geo._first_derivatives(phi, rows)
+        whole = _whole_grid_base(phi)
+        held = np.arange(rows.start - 2, rows.stop + 2)
+        assert base["window"] == slice(2, 2 + rows.stop - rows.start)
+        for name, value in whole.items():
+            pieces = value.items() if isinstance(value, dict) else [(None, value)]
+            for key, field in pieces:
+                got = base[name][key] if key is not None else base[name]
+                expected = np.take(field, held, axis=field.ndim - len(shape), mode="wrap")
+                assert np.array_equal(got, expected), (name, key)
 
 
 class TestNanResiduals:

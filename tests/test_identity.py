@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,14 @@ class TestPointwiseBalance:
         fine = identity.pointwise_check(params, Grid1D(-4.0, 6.0, 2048), 0.5, delta_t=5e-3)
         assert coarse.rel_residual / fine.rel_residual >= 8.0
 
+    # verify refuses the same values through check_settings
+    @pytest.mark.parametrize("delta_t", [0.0, float("nan")])
+    def test_unusable_delta_t_refused_before_any_division(self, params, grid1024, delta_t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="delta_t must be positive"):
+                identity.pointwise_check(params, grid1024, 0.5, delta_t=delta_t)
+
 
 class TestVerify:
     def test_short_range_passes_with_reading_b(self, params):
@@ -231,6 +240,10 @@ class TestVerify:
         with pytest.raises(ConfigError, match="model's edge"):
             entry(params, grid4096)
         assert built == []
+
+    def test_no_times_refused_as_no_times(self, params, grid1024):
+        with pytest.raises(ConfigError, match="no times"):
+            identity.t_geo_series(params, grid1024, [])
 
     def test_sign_flip_mutation_fails(self, params):
         grid = Grid1D(-4.0, 6.0, 2048)

@@ -355,3 +355,12 @@ class TestContinuity:
         J = params.inertia * f.chi2 * f.vector_potential
         residual = rate + grid4096.derivative(J, 1, "spectral")
         assert np.max(np.abs(residual)) <= 1e-7
+
+
+class TestCheckGrid:
+    # NaN compares false with the model's edge: the refusal names the NaN,
+    # not the edge
+    @pytest.mark.parametrize("times", [[float("nan")], [0.5, float("nan")]])
+    def test_nan_time_refused_as_nan(self, times):
+        with pytest.raises(ConfigError, match="a time is NaN"):
+            model.check_grid(ModelParams(), Grid1D(-4.0, 6.0, 1024), times)

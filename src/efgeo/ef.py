@@ -14,8 +14,8 @@ remains available for genuinely periodic states.
 
 Outside the support the spinor is a frozen constant, so every derivative of
 it vanishes there: the stencils run only on a window around the support,
-and every value on that window carries the bits of the same stencil run
-over the whole grid.
+the fields built from them are kept on that window alone, and every value
+on it carries the bits of the same stencil run over the whole grid.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .grid import _D1_COEFFS, Grid1D
+from .grid import _D1_COEFFS, Grid1D, central_difference
 
 DEFAULT_FLOOR_RATIO = 1e-13
 NORM_TOL = 1e-10  # largest |norm - 1| a TwoComponentWavefunction accepts
@@ -68,12 +68,12 @@ class TwoComponentWavefunction:
 class EFDecomposition:
     """Marginal density, conditional spinor and geometric fields of a state.
 
-    The rank-3 bracket and its parts c_tensor (Re) and d_tensor (Im) are
-    computed on first read and cached; the metric alone costs two
-    derivatives, the bracket two more.  Every derivative runs on window: the
-    bounding box of the support widened by two stencil half-widths, or the
-    whole grid.  Outside it Phi keeps the box's edge values and every field
-    derived from its derivatives is zero.
+    chi2, mask and Phi span the grid, Phi with the box of the support's edge
+    values beyond it.  dphi, cov, connection, metric and the rank-3 bracket
+    span window: that box widened by two stencil half-widths, or the whole
+    grid.  Their first and last half-widths hold exact zeros.  The bracket
+    and its parts c_tensor (Re) and d_tensor (Im) are built on first read:
+    the metric costs two derivatives, the bracket two more.
     """
 
     grid: Grid1D
@@ -82,36 +82,47 @@ class EFDecomposition:
     chi2: np.ndarray          # marginal density |chi|^2
     phi1: np.ndarray          # conditional spinor, unit pointwise norm on mask
     phi2: np.ndarray
-    dphi1: np.ndarray         # d(phi)/dx
+    dphi1: np.ndarray         # d(phi)/dx on window
     dphi2: np.ndarray
     cov1: np.ndarray          # covariant derivative (P - A)Phi, P = -i d/dx
     cov2: np.ndarray
     connection: np.ndarray    # A = Im <Phi| dPhi/dx>
     metric: np.ndarray        # g = <(P-A)Phi|(P-A)Phi>, non-negative
     mask: np.ndarray          # density above floor: tensors valid here
-    extended: np.ndarray      # points where Phi is a frozen continuation
-    window: slice             # where the derivatives run; zero outside
+    window: slice             # where the derivatives run and their fields live
     method: str
     inertia: float = None
-
-    @property
-    def current(self) -> np.ndarray:
-        """J = inertia * chi2 * A, or None without an inertia."""
-        return None if self.inertia is None else self.inertia * self.chi2 * self.connection
 
     @property
     def chi_abs(self) -> np.ndarray:
         return np.sqrt(self.chi2)
 
+    def on_grid(self, values: np.ndarray) -> np.ndarray:
+        """A window field as a whole-grid field, zero off the window: a sum
+        over the whole grid keeps the bits of numpy's pairwise grouping."""
+        if values.size == self.grid.n:
+            return values
+        out = np.zeros(self.grid.n, values.dtype)
+        out[self.window] = values
+        return out
+
+    def diff(self, values: np.ndarray) -> np.ndarray:
+        """d/dx of a window field on the window, in the bits of the method's
+        stencil over on_grid(values): a window inside the grid wraps round
+        itself, onto the zeros of its end half-widths."""
+        if values.size == self.grid.n:
+            return self.grid.derivative(values, 1, self.method)
+        coeffs, scale = _D1_COEFFS[self.method]
+        return central_difference(values, coeffs, scale * self.grid.dx)
+
     @cached_property
     def bracket(self) -> np.ndarray:
         """<(P-A)Phi|(P-A)(P-A)Phi>: only the rate of the geometric energy
         reads it."""
-        grid, win, method = self.grid, self.window, self.method
-        A, g1, g2 = self.connection[win], self.cov1[win], self.cov2[win]
-        h1 = -1j * grid.derivative(self.cov1, 1, method, win) - A * g1
-        h2 = -1j * grid.derivative(self.cov2, 1, method, win) - A * g2
-        return _on_grid(np.conj(g1) * h1 + np.conj(g2) * h2, win, grid.n)
+        A, g1, g2 = self.connection, self.cov1, self.cov2
+        h1 = -1j * self.diff(g1) - A * g1
+        h2 = -1j * self.diff(g2) - A * g2
+        return np.conj(g1) * h1 + np.conj(g2) * h2
 
     @property
     def c_tensor(self) -> np.ndarray:
@@ -154,25 +165,12 @@ def _window(box: slice, n: int, method: str) -> slice:
     return slice(lo, hi) if halo <= lo and hi <= n - halo else slice(0, n)
 
 
-def _on_grid(values: np.ndarray, part: slice, n: int, edges: bool = False) -> np.ndarray:
-    """values on part of the grid as a whole-grid field: zero outside it, or
-    with edges, continued by the first and last of values."""
-    if values.size == n:
-        return values
-    out = np.zeros(n, values.dtype)
-    out[part] = values
-    if edges:
-        out[:part.start] = values[0]
-        out[part.stop:] = values[-1]
-    return out
-
-
 def decompose(psi: TwoComponentWavefunction, inertia: float = None,
               method: str = "fd12") -> EFDecomposition:
     """Exact factorization of psi with gauge lambda = 0 (chi real >= 0).
 
-    The density floor is DEFAULT_FLOOR_RATIO of the density maximum.
-    inertia, when given, also defines the current.
+    The density floor is DEFAULT_FLOOR_RATIO of the density maximum; the
+    derivative fields span the window only.  inertia scales the energies.
     """
     grid, n = psi.grid, psi.grid.n
     chi2 = psi.density
@@ -190,7 +188,10 @@ def decompose(psi: TwoComponentWavefunction, inertia: float = None,
     if live.size < chi_safe.size:
         nearest = _nearest_fill(support[box])
         phi1, phi2 = phi1[nearest], phi2[nearest]
-    phi1, phi2 = _on_grid(phi1, box, n, edges=True), _on_grid(phi2, box, n, edges=True)
+    whole = np.empty(n, phi1.dtype), np.empty(n, phi2.dtype)
+    for out, part in zip(whole, (phi1, phi2)):
+        out[:box.start], out[box], out[box.stop:] = part[0], part, part[-1]
+    phi1, phi2 = whole
 
     win = _window(box, n, method)
     d1 = grid.derivative(phi1, 1, method, win)
@@ -204,23 +205,9 @@ def decompose(psi: TwoComponentWavefunction, inertia: float = None,
     metric = np.abs(g1) ** 2 + np.abs(g2) ** 2
 
     return EFDecomposition(
-        grid=grid,
-        psi1=psi.psi1,
-        psi2=psi.psi2,
-        chi2=chi2,
-        phi1=phi1,
-        phi2=phi2,
-        dphi1=_on_grid(d1, win, n),
-        dphi2=_on_grid(d2, win, n),
-        cov1=_on_grid(g1, win, n),
-        cov2=_on_grid(g2, win, n),
-        connection=_on_grid(A, win, n),
-        metric=_on_grid(metric, win, n),
-        mask=mask,
-        extended=~support,
-        window=win,
-        method=method,
-        inertia=inertia,
+        grid=grid, psi1=psi.psi1, psi2=psi.psi2, chi2=chi2, phi1=phi1, phi2=phi2,
+        dphi1=d1, dphi2=d2, cov1=g1, cov2=g2, connection=A, metric=metric,
+        mask=mask, window=win, method=method, inertia=inertia,
     )
 
 
@@ -230,7 +217,7 @@ def geometric_energy(dec: EFDecomposition) -> float:
     if dec.inertia is None:
         raise ConfigError("inertia required: decompose with inertia set")
     weight = np.where(dec.mask, dec.chi2, 0.0)
-    return float(0.5 * dec.inertia * dec.grid.integrate(weight * dec.metric))
+    return float(0.5 * dec.inertia * dec.grid.integrate(weight * dec.on_grid(dec.metric)))
 
 
 def energies(dec: EFDecomposition) -> KineticPartition:
@@ -245,7 +232,7 @@ def energies(dec: EFDecomposition) -> KineticPartition:
     weight = np.where(dec.mask, dec.chi2, 0.0)
     dchi = grid.derivative(dec.chi_abs, 1, dec.method)
     marginal = 0.5 * inertia * (
-        grid.integrate(dchi ** 2) + grid.integrate(weight * dec.connection ** 2)
+        grid.integrate(dchi ** 2) + grid.integrate(weight * dec.on_grid(dec.connection) ** 2)
     )
 
     lap1 = grid.derivative(dec.psi1, 2, "spectral")

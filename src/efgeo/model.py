@@ -28,6 +28,11 @@ _CLIP = 700.0  # exp argument guard
 MIN_POINTS_PER_WIDTH = 1.5
 # the model's front term 1 + 3t vanishes here; no state is built at or before it
 MODEL_EDGE = -1.0 / 3.0
+# largest front steepness gamma (1 + eta t): the potential entries grow like
+# its square, their gradients by 1/dx more.  verify-identity overflows from
+# 1e153 at n = 4096 and 2e152 at n = 16384, propagate's square from 1.34e154;
+# at the bound every subcommand runs clean up to n = 65536.
+MAX_STEEPNESS = 1e151
 
 
 @dataclass(frozen=True)
@@ -139,15 +144,20 @@ def vector_potential(x, t, params: ModelParams):
 
 
 def check_grid(params: ModelParams, grid: Grid1D, times):
-    """Refuse no times or a NaN time, a time at or before MODEL_EDGE, a grid too
-    coarse for the packet, or a domain leaving more of it outside than ef's
-    norm check accepts at `times`."""
+    """Refuse no times or a non-finite time, a time at or before MODEL_EDGE, a
+    front steeper than MAX_STEEPNESS, a grid too coarse for the packet, or a
+    domain leaving more of it outside than ef's norm check accepts at `times`."""
     if np.size(times) == 0:
         raise ConfigError("no times to check the grid at")
-    if np.any(np.isnan(times)):
-        raise ConfigError("a time is NaN")
+    if not np.all(np.isfinite(times)):
+        raise ConfigError("a time is NaN or infinite")
     if not np.all(np.asarray(times) > MODEL_EDGE):
         raise ConfigError(f"t = {np.min(times):.6g} is at or before the model's edge t = -1/3")
+    # steepest at the latest time; 1 + eta t > 5/6, so the quotient cannot overflow
+    last = float(np.max(times))
+    if not params.gamma <= MAX_STEEPNESS / (1.0 + params.eta * last):
+        raise ConfigError(f"gamma = {params.gamma:g} is too steep: gamma (1 + eta t) "
+                          f"exceeds {MAX_STEEPNESS:g} at t = {last:.6g}")
     narrowest = 1.0 / (3.0 * np.sqrt(params.mass))  # width where cos t = 0
     # compared as a product: narrowest / dx can overflow for a fine grid
     if not narrowest >= MIN_POINTS_PER_WIDTH * grid.dx:

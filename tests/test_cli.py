@@ -274,6 +274,13 @@ BAD_INPUTS = {
     "overflowing_inertia": lambda p: [
         "emit-figure", "--n", "512", "--samples", "2", "--t-end", "0.01", "--inertia", "1e-308"
     ],
+    # the model's front steepness gamma (1 + eta t), squared, would overflow
+    "overflowing_steepness_propagate": lambda p: [
+        "propagate", "--gamma", "1e155", "--t-end", "0.002", "--dt", "1e-3", "--n", "512"
+    ],
+    "overflowing_steepness_identity": lambda p: [
+        "verify-identity", "--gamma", "1e155", "--n", "512", "--t-end", "0.01", "--samples", "2"
+    ],
     # a convergence order is a fit through the sizes
     "repeated_sizes": lambda p: ["verify-tensors", "--sizes", "32,32"],
     # the verdict holds tol against the first size and reports the last as finest

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from periodic_states import make_periodic_state, regauged, smooth_gauge
 from efgeo import ef, model
 from efgeo.errors import ConfigError
-from efgeo.grid import Grid1D
+from efgeo.grid import _D1_COEFFS, Grid1D
 
 
 def closed_form_tensors(t, grid, params):
@@ -28,6 +28,18 @@ def closed_form_tensors(t, grid, params):
         )
     )
     return f, g, c, d
+
+
+def whole(dec, name):
+    """A window field of dec as a whole-grid field, zero off the window."""
+    return dec.on_grid(getattr(dec, name))
+
+
+def support(dec):
+    """Points where decompose divides psi by |chi|; elsewhere Phi is a
+    continuation from the nearest of them."""
+    floor = ef.DEFAULT_FLOOR_RATIO * dec.chi2.max()
+    return dec.chi2 > floor * ef.EXTENSION_RATIO
 
 
 def gaussian_state(grid, spinor=(1.0, 0.0), k=0.0, x0=0.5, s0=0.7):
@@ -103,8 +115,9 @@ class TestDecompose:
     def test_covariant_projection_vanishes(self, params, grid4096):
         # Re <Phi | (P - A) Phi> = 0 pointwise by construction of A
         dec = ef.decompose(model.assemble_psi(0.5, grid4096, params))
-        proj = np.real(np.conj(dec.phi1) * dec.cov1 + np.conj(dec.phi2) * dec.cov2)
-        assert np.max(np.abs(proj)[dec.mask]) <= 1e-8
+        win = dec.window
+        proj = np.real(np.conj(dec.phi1[win]) * dec.cov1 + np.conj(dec.phi2[win]) * dec.cov2)
+        assert np.max(np.abs(proj)[dec.mask[win]]) <= 1e-8
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_factorization_reconstructs_state(self, params, grid4096, seed):
@@ -112,7 +125,7 @@ class TestDecompose:
         t = 0.4 + 0.9 * seed
         psi = model.assemble_psi(t, grid4096, params)
         dec = ef.decompose(psi)
-        live = ~dec.extended
+        live = support(dec)
         chi = dec.chi_abs
         err1 = np.abs(chi * dec.phi1 - psi.psi1)[live]
         err2 = np.abs(chi * dec.phi2 - psi.psi2)[live]
@@ -121,10 +134,12 @@ class TestDecompose:
 
     def test_eager_fields_populated_with_inertia(self, params, grid4096):
         dec = ef.decompose(model.assemble_psi(0.2, grid4096, params), inertia=params.inertia)
-        assert dec.current is not None
-        assert np.array_equal(dec.current, params.inertia * dec.chi2 * dec.connection)
+        assert dec.inertia == params.inertia
+        # the current formed on the window is the whole-grid current there
+        current = params.inertia * dec.chi2[dec.window] * dec.connection
+        assert np.array_equal(dec.on_grid(current), params.inertia * dec.chi2 * whole(dec, "connection"))
         bare = ef.decompose(model.assemble_psi(0.2, grid4096, params))
-        assert bare.current is None
+        assert bare.inertia is None
 
     def test_decomposition_reads_the_state_density(self, params, grid4096):
         psi = model.assemble_psi(0.2, grid4096, params)
@@ -148,14 +163,19 @@ class TestDecompose:
         assert islands.size >= 2
         assert np.all(np.isfinite(dec.connection)) and np.all(np.isfinite(dec.c_tensor))
         left_core = dec.mask & (np.abs(x + 1.5) < 0.3)
-        assert np.max(np.abs(dec.connection[left_core] - k)) <= 1e-6
+        assert np.max(np.abs(whole(dec, "connection")[left_core] - k)) <= 1e-6
 
     def test_extension_flag_marks_dead_zone(self, params, grid4096):
         # at t = 5 the gaussian underflows to exact zero near the left edge
         dec = ef.decompose(model.assemble_psi(5.0, grid4096, params))
-        assert dec.extended.any()
-        assert not dec.extended[dec.mask].any()
+        extended = ~support(dec)
+        assert extended.any()
+        assert not extended[dec.mask].any()
         assert np.all(np.isfinite(dec.phi1)) and np.all(np.isfinite(dec.phi2))
+        # beyond the support Phi keeps the values of its first and last points
+        live = np.flatnonzero(~extended)
+        for phi in (dec.phi1, dec.phi2):
+            assert np.all(phi[:live[0]] == phi[live[0]]) and np.all(phi[live[-1]:] == phi[live[-1]])
 
     def test_floor_insensitivity(self, params, grid4096, monkeypatch):
         psi = model.assemble_psi(1.0, grid4096, params)
@@ -165,10 +185,10 @@ class TestDecompose:
             decs.append(ef.decompose(psi))
         common = decs[0].mask & decs[1].mask & decs[2].mask
         for a, b in ((decs[0], decs[1]), (decs[1], decs[2])):
-            assert np.max(np.abs(a.connection - b.connection)[common]) <= 1e-9
-            assert np.max(np.abs(a.metric - b.metric)[common]) <= 1e-9
-            assert np.max(np.abs(a.c_tensor - b.c_tensor)[common]) <= 1e-9
-            assert np.max(np.abs(a.d_tensor - b.d_tensor)[common]) <= 1e-9
+            assert np.max(np.abs(whole(a, "connection") - whole(b, "connection"))[common]) <= 1e-9
+            assert np.max(np.abs(whole(a, "metric") - whole(b, "metric"))[common]) <= 1e-9
+            assert np.max(np.abs(whole(a, "c_tensor") - whole(b, "c_tensor"))[common]) <= 1e-9
+            assert np.max(np.abs(whole(a, "d_tensor") - whole(b, "d_tensor"))[common]) <= 1e-9
 
 
 class TestConnection:
@@ -185,7 +205,7 @@ class TestConnection:
     def test_model_connection_matches_closed_form(self, params, grid4096, t):
         dec = ef.decompose(model.assemble_psi(t, grid4096, params))
         closed = model.vector_potential(grid4096.x, t, params)
-        assert np.max(np.abs(dec.connection - closed)[dec.mask]) <= 1e-7
+        assert np.max(np.abs(whole(dec, "connection") - closed)[dec.mask]) <= 1e-7
 
 
 class TestMetric:
@@ -202,7 +222,7 @@ class TestMetric:
     def test_model_metric_matches_closed_form(self, params, grid4096, t):
         dec = ef.decompose(model.assemble_psi(t, grid4096, params))
         _, g_closed, _, _ = closed_form_tensors(t, grid4096, params)
-        assert np.max(np.abs(dec.metric - g_closed)[dec.mask]) <= 1e-7
+        assert np.max(np.abs(whole(dec, "metric") - g_closed)[dec.mask]) <= 1e-7
 
     def test_metric_non_negative(self, params, grid4096):
         dec = ef.decompose(model.assemble_psi(0.8, grid4096, params))
@@ -212,7 +232,7 @@ class TestMetric:
         # <dPhi|dPhi> - A^2 against the covariant-square form
         dec = ef.decompose(model.assemble_psi(0.3, grid4096, params))
         alt = (np.abs(dec.dphi1) ** 2 + np.abs(dec.dphi2) ** 2) - dec.connection ** 2
-        assert np.max(np.abs(alt - dec.metric)[dec.mask]) <= 1e-10
+        assert np.max(np.abs(alt - dec.metric)[dec.mask[dec.window]]) <= 1e-10
 
 
 class TestRankThreeTensors:
@@ -221,14 +241,14 @@ class TestRankThreeTensors:
         dec = ef.decompose(model.assemble_psi(t, grid4096, params))
         _, _, c_closed, d_closed = closed_form_tensors(t, grid4096, params)
         m = dec.mask
-        assert np.max(np.abs(dec.c_tensor - c_closed)[m]) <= 1e-6
-        assert np.max(np.abs(dec.d_tensor - d_closed)[m]) <= 1e-6
+        assert np.max(np.abs(whole(dec, "c_tensor") - c_closed)[m]) <= 1e-6
+        assert np.max(np.abs(whole(dec, "d_tensor") - d_closed)[m]) <= 1e-6
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_d_equals_minus_half_metric_gradient(self, params, grid4096, t):
         dec = ef.decompose(model.assemble_psi(t, grid4096, params))
-        dg = grid4096.derivative(dec.metric, 1, "fd12")
-        assert np.max(np.abs(dec.d_tensor + 0.5 * dg)[dec.mask]) <= 1e-6
+        dg = grid4096.derivative(whole(dec, "metric"), 1, "fd12")
+        assert np.max(np.abs(whole(dec, "d_tensor") + 0.5 * dg)[dec.mask]) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_d_relation_on_synthetic_states(self, grid1024, seed):
@@ -246,10 +266,11 @@ class TestRankThreeTensors:
 
 def _eager_bracket(dec):
     """Reference: the rank-3 bracket built eagerly, (P - A)Phi from dPhi and
-    then once more, in the operation order the lazy bracket must keep."""
-    grid, A, method = dec.grid, dec.connection, dec.method
-    g1 = -1j * dec.dphi1 - A * dec.phi1
-    g2 = -1j * dec.dphi2 - A * dec.phi2
+    then once more over the whole grid, in the operation order the lazy
+    bracket must keep."""
+    grid, A, method = dec.grid, whole(dec, "connection"), dec.method
+    g1 = -1j * whole(dec, "dphi1") - A * dec.phi1
+    g2 = -1j * whole(dec, "dphi2") - A * dec.phi2
     h1 = -1j * grid.derivative(g1, 1, method) - A * g1
     h2 = -1j * grid.derivative(g2, 1, method) - A * g2
     return np.conj(g1) * h1 + np.conj(g2) * h2
@@ -260,28 +281,30 @@ class TestLazyBracket:
     @pytest.mark.parametrize("method", ["fd12", "spectral"])
     def test_bracket_is_built_once_on_first_read(self, params, grid1024, monkeypatch,
                                                  first, method):
+        # decompose takes dPhi with grid.derivative; only the bracket
+        # differentiates a window field, once for each component
         state = model.assemble_psi(0.7, grid1024, params)
         calls = []
-        original = Grid1D.derivative
+        original = ef.EFDecomposition.diff
 
         def counted(self, *args, **kwargs):
             calls.append(args)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(Grid1D, "derivative", counted)
+        monkeypatch.setattr(ef.EFDecomposition, "diff", counted)
         dec = ef.decompose(state, inertia=params.inertia, method=method)
-        assert len(calls) == 2
+        assert len(calls) == 0
         ef.geometric_energy(dec)
-        assert len(calls) == 2
+        assert len(calls) == 0
         getattr(dec, first)
-        assert len(calls) == 4
+        assert len(calls) == 2
         c, d = dec.c_tensor, dec.d_tensor
-        assert len(calls) == 4
+        assert len(calls) == 2
         monkeypatch.undo()
 
         eager = _eager_bracket(dec)
-        assert np.array_equal(c, eager.real)
-        assert np.array_equal(d, eager.imag)
+        assert np.array_equal(dec.on_grid(c), eager.real)
+        assert np.array_equal(dec.on_grid(d), eager.imag)
 
 
 class TestEnergies:
@@ -319,21 +342,26 @@ class TestEnergies:
             ef.energies(dec)
 
 
+def current(dec):
+    """The current inertia * chi2 * A over the whole grid."""
+    return dec.inertia * dec.chi2 * whole(dec, "connection")
+
+
 class TestCurrent:
     def test_zero_for_real_state(self, grid1024):
         dec = ef.decompose(gaussian_state(grid1024), inertia=0.1)
-        assert np.max(np.abs(dec.current)) <= 1e-13
+        assert np.max(np.abs(current(dec))) <= 1e-13
 
     def test_linear_in_inertia(self, params, grid4096):
         psi = model.assemble_psi(0.7, grid4096, params)
-        j2 = ef.decompose(psi, inertia=0.2).current
-        j1 = ef.decompose(psi, inertia=0.1).current
+        j2 = current(ef.decompose(psi, inertia=0.2))
+        j1 = current(ef.decompose(psi, inertia=0.1))
         assert np.allclose(j2, 2.0 * j1, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_continuity_through_decomposition(self, params, grid4096, t):
         dec = ef.decompose(model.assemble_psi(t, grid4096, params), inertia=params.inertia)
-        dJ = grid4096.derivative(dec.current, 1, "fd12")
+        dJ = grid4096.derivative(current(dec), 1, "fd12")
         residual = model.nuclear_density_rate(grid4096.x, t, params) + dJ
         assert np.max(np.abs(residual)[dec.mask]) <= 1e-7
 
@@ -411,9 +439,9 @@ def _assert_window_keeps_bits(psi, inertia, where=None):
     mask, A, metric, bracket, energy = _whole_grid_reference(psi, inertia)
     assert np.array_equal(dec.mask, mask)
     m = mask if where is None else where
-    for got, ref in ((dec.connection, A), (dec.metric, metric),
-                     (dec.c_tensor, bracket.real), (dec.d_tensor, bracket.imag)):
-        assert np.array_equal(got[m], ref[m])
+    for name, ref in (("connection", A), ("metric", metric),
+                      ("c_tensor", bracket.real), ("d_tensor", bracket.imag)):
+        assert np.array_equal(whole(dec, name)[m], ref[m])
     assert ef.geometric_energy(dec) == energy
     return dec
 
@@ -432,10 +460,14 @@ class TestSupportWindow:
         dec = _assert_window_keeps_bits(psi, params.inertia)
         win = dec.window
         assert dec.mask[win].sum() == dec.mask.sum()
-        outside = np.ones(grid.n, dtype=bool)
-        outside[win] = False
-        for field in (dec.dphi1, dec.cov2, dec.connection, dec.metric, dec.bracket):
-            assert not field[outside].any()
+        # diff wraps round a window inside the grid onto its zero ends
+        if win != slice(0, grid.n):
+            halo = len(_D1_COEFFS["fd12"][0])
+            for field in (dec.dphi1, dec.cov2, dec.connection, dec.metric, dec.bracket):
+                assert not field[:halo].any() and not field[-halo:].any()
+        for field in (dec.connection, dec.cov1, dec.metric, dec.c_tensor * dec.chi2[win]):
+            whole_grid = grid.derivative(dec.on_grid(field), 1, "fd12", win)
+            assert np.array_equal(dec.diff(field), whole_grid)
 
     def test_support_islands_keep_the_bits(self, grid1024):
         # two packets with a dead valley between them: the window spans both,
@@ -447,7 +479,7 @@ class TestSupportWindow:
         psi = ef.TwoComponentWavefunction(grid=grid1024, psi1=left / norm, psi2=right / norm)
         dec = _assert_window_keeps_bits(psi, 0.1)
         assert 0 < dec.window.start and dec.window.stop < grid1024.n
-        assert dec.extended[dec.window].any()
+        assert not support(dec)[dec.window].all()
 
     def test_edge_packet_uses_the_whole_periodic_grid(self, grid1024):
         # the support reaches the left edge, so the window would leave the

@@ -70,14 +70,17 @@ def _old_rhs_terms(params, grid, t, reading, mutation):
     """rhs_terms as it was when each call evaluated one reading: every
     derivative taken again per reading, and arrays of ones as the unit weight."""
     dec = ef.decompose(model.assemble_psi(t, grid, params), inertia=params.inertia, method="fd12")
+    dphi1, dphi2, A, metric, c_tensor = (
+        dec.on_grid(f) for f in (dec.dphi1, dec.dphi2, dec.connection, dec.metric, dec.c_tensor)
+    )
     ham = model.hamiltonian_entries(t, grid, params)
     dh0 = grid.derivative(ham.h0, 1, "fd12")
     dh1 = grid.derivative(ham.h1, 1, "fd12")
     dh3 = grid.derivative(ham.h3, 1, "fd12")
     up, dn = dh0 + dh3, dh0 - dh3
     sand_dphi = (
-        np.conj(dec.phi1) * (up * dec.dphi1 + dh1 * dec.dphi2)
-        + np.conj(dec.phi2) * (dh1 * dec.dphi1 + dn * dec.dphi2)
+        np.conj(dec.phi1) * (up * dphi1 + dh1 * dphi2)
+        + np.conj(dec.phi2) * (dh1 * dphi1 + dn * dphi2)
     )
     sand_pop = (
         up * np.abs(dec.phi1) ** 2
@@ -92,10 +95,10 @@ def _old_rhs_terms(params, grid, t, reading, mutation):
         return grid.dx * float(np.sum(values[dec.mask]))
 
     t1 = -I * integral(np.imag(sand_dphi) * w1)
-    t2 = I * integral(dec.connection * sand_pop * w24)
-    t3 = -0.5 * I * I * integral(grid.derivative(dec.c_tensor * dec.chi2, 1, "fd12"))
-    dA = grid.derivative(dec.connection, 1, "fd12")
-    t4 = -I * I * integral(dec.metric * dA * w24)
+    t2 = I * integral(A * sand_pop * w24)
+    t3 = -0.5 * I * I * integral(grid.derivative(c_tensor * dec.chi2, 1, "fd12"))
+    dA = grid.derivative(A, 1, "fd12")
+    t4 = -I * I * integral(metric * dA * w24)
     signs = {"flip_t1": (-1, 1, 1, 1), "flip_t2": (1, -1, 1, 1),
              "flip_t3": (1, 1, -1, 1), "flip_t4": (1, 1, 1, -1)}
     s = signs.get(mutation, (1, 1, 1, 1))
@@ -128,13 +131,17 @@ class TestOnePass:
 
     def test_verify_evaluates_each_sample_once(self, params, grid1024, monkeypatch):
         derivative = _count_calls(monkeypatch, Grid1D, "derivative")
+        diff = _count_calls(monkeypatch, ef.EFDecomposition, "diff")
         rhs = _count_calls(monkeypatch, identity, "rhs_terms")
         k = 3
         report = identity.verify(params, grid1024, 0.0, 0.5, samples=k, delta_t=4e-4, rel_tol=1.0)
         # per sample: 4 decompositions for the rate, which read only the
-        # metric (2 derivatives each), 1 whose rank-3 bracket is also read
-        # (4), then the potential gradient (3), the flux and dA/dx
-        assert len(derivative) == 17 * k
+        # metric (2 derivatives each), 1 whose rank-3 bracket is also read,
+        # then the potential gradient (3); every window lies inside the
+        # grid, so the bracket (2), the flux and dA/dx differentiate window
+        # fields with diff, which calls no grid.derivative there
+        assert len(derivative) == 13 * k
+        assert len(diff) == 4 * k
         # one right-side series covers every sample
         assert len(rhs) == 1
         assert np.array_equal(rhs[0][2], report.times)

@@ -359,8 +359,10 @@ class TestContinuity:
 
 class TestCheckGrid:
     # NaN compares false with the model's edge: the refusal names the NaN,
-    # not the edge
-    @pytest.mark.parametrize("times", [[float("nan")], [0.5, float("nan")]])
+    # not the edge; an infinite time would reach cos(inf) in the packet centre
+    @pytest.mark.parametrize("times", [[float("nan")], [0.5, float("nan")], [float("inf")],
+                                       [0.5, float("inf")], [float("-inf")]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_time_refused_as_nan(self, times):
         with pytest.raises(ConfigError, match="a time is NaN"):
             model.check_grid(ModelParams(), Grid1D(-4.0, 6.0, 1024), times)

@@ -232,7 +232,7 @@ def cmd_verify_tensors(cfg: dict, out_dir: Path) -> int:
                     {"tol": cfg["tol"], "slope_min": cfg["slope_min"]})
     _write_json(out_dir / "report.json", report)
     for name, entry in report["recipes"].items():
-        worst = max(v["max_abs"][0] for v in entry.values())
+        worst = np.max([v["max_abs"][0] for v in entry.values()])  # NaN if any is NaN
         print(f"tensors[{name}]: worst residual {worst:.3e} -> "
               f"{'PASS' if all(v['passed'] for v in entry.values()) else 'FAIL'}")
     return 0 if report["passed"] else 1

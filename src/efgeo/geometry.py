@@ -10,12 +10,13 @@ with periodic wrap; recipes must therefore produce periodic spinors.
 
 build_family evaluates a recipe into that state, a spinor array whose shape
 fixes its grid.  Every stencil and product is local, so identity_residuals
-works on slabs of about SLAB_POINTS grid points, whole axis-0 rows each.
-_first_derivatives takes a slab's first-derivative fields from a wrapped copy
-of the slab's spinor rows and three stencil half-widths on either side of
-them; the rank-3 tensors, the other derivative tables and the residuals of
-the slab then read those fields as stencil inputs.  No axis-0 stencil wraps
-after the copy, and every point keeps the bits of the whole-grid evaluation.
+works on slabs of about SLAB_POINTS grid points, whole axis-0 rows each, and
+tensors(phi, rows) builds one slab: it takes the slab's first-derivative
+fields from a wrapped copy of the slab's spinor rows and three stencil
+half-widths on either side of them, then the rank-3 tensors; the derivative
+tables and the residuals of the slab read those fields as stencil inputs.  No
+axis-0 stencil wraps after the copy, and every point keeps the bits of the
+whole-grid evaluation.
 
 Index convention for the Christoffel symbol of the first kind, chosen so
 that the imaginary rank-3 tensor is exactly its negative:
@@ -34,8 +35,8 @@ from .errors import ConfigError
 from .grid import _D1_COEFFS, central_difference
 
 _W_BOUND = 1.0 - 1e-3
-# grid points per slab, in whole axis-0 rows and at least one: at 72^3, 2 to 4
-# rows' worth peak at the spinor's build (85 MB RSS), 6 and 8 at 94 and 107 MB
+# grid points per slab, in whole axis-0 rows and at least one: at 72^3, 1 to 3
+# rows' worth peak at the spinor's build (70 MB RSS), 4 and 6 at 75 and 87 MB
 SLAB_POINTS = 4 * 72 ** 2
 
 
@@ -67,8 +68,9 @@ class ParamGrid:
         return tuple(2.0 * np.pi / m for m in self.shape)
 
     def meshes(self):
+        """Open coordinate meshes: axis k varies along dimension k only."""
         axes = [h * np.arange(m) for h, m in zip(self.spacings, self.shape)]
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*axes, indexing="ij", sparse=True)
 
     def diff(self, values: np.ndarray, axis: int, rows: slice = slice(None)) -> np.ndarray:
         """4th-order central derivative along one axis, periodic wrap (the
@@ -80,7 +82,8 @@ class ParamGrid:
 
 @dataclass(frozen=True)
 class FamilyRecipe:
-    """Callables producing w, phi and the gauge phase on mesh coordinates."""
+    """Callables producing w, phi and the gauge phase on the open mesh
+    coordinates of ParamGrid.meshes; each result broadcasts to the grid."""
 
     w: Callable
     phi: Callable
@@ -108,18 +111,9 @@ def smooth_recipe() -> FamilyRecipe:
         out = 0.09 * np.sin(Q[0] + 0.2)
         if len(Q) > 1:
             out = out + 0.7 * 0.09 * np.cos(Q[1])
-        return np.broadcast_to(out, np.broadcast_shapes(*[q.shape for q in Q])).copy()
+        return out
 
     return FamilyRecipe(w=w, phi=phi, a=a)
-
-
-def _const(value):
-    """Recipe field equal to value on every mesh point."""
-
-    def f(*Q):
-        return np.full(np.broadcast_shapes(*[q.shape for q in Q]), value)
-
-    return f
 
 
 def pure_gauge_recipe() -> FamilyRecipe:
@@ -129,12 +123,12 @@ def pure_gauge_recipe() -> FamilyRecipe:
     For a linear phase every discrete tensor vanishes identically, so the
     identity residuals are exactly zero.
     """
-    return FamilyRecipe(w=_const(0.3), phi=_const(0.4), a=lambda *Q: Q[0])
+    return FamilyRecipe(w=lambda *Q: 0.3, phi=lambda *Q: 0.4, a=lambda *Q: Q[0])
 
 
 def constant_recipe() -> FamilyRecipe:
     """Constant spinor everywhere: every tensor vanishes."""
-    return FamilyRecipe(w=_const(0.2), phi=_const(0.5), a=_const(0.0))
+    return FamilyRecipe(w=lambda *Q: 0.2, phi=lambda *Q: 0.5, a=lambda *Q: 0.0)
 
 
 NAMED_RECIPES = {
@@ -153,14 +147,17 @@ def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> np.ndarray:
     of theta.
     """
     Q = grid.meshes()
-    w = np.asarray(recipe.w(*Q), dtype=float)
-    phi = np.asarray(recipe.phi(*Q), dtype=float)
-    a = np.asarray(recipe.a(*Q), dtype=float)
-    for name, arr in (("w", w), ("phi", phi), ("a", a)):
-        if arr.shape != grid.shape:
-            raise ConfigError(f"recipe field {name} has shape {arr.shape}, expected {grid.shape}")
+    fields = []
+    for name in ("w", "phi", "a"):
+        arr = np.asarray(getattr(recipe, name)(*Q), dtype=float)
+        try:
+            arr = np.broadcast_to(arr, grid.shape)
+        except ValueError:
+            raise ConfigError(f"recipe field {name} has shape {arr.shape}, expected {grid.shape}") from None
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"recipe field {name} is not finite")
+        fields.append(arr)
+    w, phi, a = fields
     if np.max(np.abs(w)) > _W_BOUND:
         raise ConfigError(f"|w| reaches {np.max(np.abs(w)):.4f} > {_W_BOUND}")
     half = np.arccos(w) / 2.0
@@ -174,13 +171,14 @@ class TensorFieldSet:
     """All tensors of a family on a slab of axis-0 grid rows: connection
     a[mu], curvature b[mu,nu], metric g[mu,nu] and rank-3 c/d[mu,nu,tau], with
     the spinor's first derivatives dphi[mu] and the connection gradient
-    da[nu,tau] = d_nu a[tau], whose antisymmetric part is b.  base holds the
-    slab's fields from _first_derivatives, with the rows that the slab's
-    stencils read on either side.  The Christoffel symbol is never held
-    whole: _christoffel_pieces yields it one component at a time."""
+    da[nu,tau] = d_nu a[tau], whose antisymmetric part is b.  base holds a,
+    dphi, da, g and the covariant derivative G on the slab's rows and one fd4
+    half-width on either side; window is the slab's rows among them.  The
+    Christoffel symbol is never held whole: _christoffel_pieces yields it one
+    component at a time."""
 
     grid: ParamGrid
-    rows: slice
+    window: slice
     a: np.ndarray
     b: np.ndarray
     g: np.ndarray
@@ -192,7 +190,7 @@ class TensorFieldSet:
 
     def diff(self, values: np.ndarray, axis: int) -> np.ndarray:
         """The derivative of a field of base on the slab's rows."""
-        return self.grid.diff(values, axis, self.base["window"])
+        return self.grid.diff(values, axis, self.window)
 
 
 def _symmetric_derivatives(D, field, d):
@@ -219,17 +217,14 @@ def _christoffel_pieces(ts: TensorFieldSet):
         yield (mu, nu, tau), 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
 
 
-def _first_derivatives(phi: np.ndarray, rows: slice) -> dict:
-    """The fields of a spinor from build_family that a slab of axis-0 rows
-    reads: a, dphi, da, g, the covariant derivative G[mu] = -i dphi[mu] -
-    a[mu] phi, and the stencil inputs gaa[m, n] = g[m, n] + a[m] a[n] (m <= n)
-    and b[m, n] (m < n).
+def tensors(phi: np.ndarray, rows: slice = slice(None)) -> TensorFieldSet:
+    """The TensorFieldSet of a spinor from build_family on a slice of axis-0
+    rows, by default every row.
 
-    Each field holds the slab's rows and one fd4 half-width on either side;
-    window is the slab's rows among them.  The fields come from a copy of the
-    slab's spinor rows and three half-widths on either side, wrapped round
-    the axis: dphi and a are taken with two half-widths on either side of
-    the slab's rows, the rest with one.
+    The fields of base come from a copy of the slab's spinor rows and three
+    fd4 half-widths on either side, wrapped round the axis: dphi and a are
+    taken with two half-widths on either side of the slab's rows, the
+    covariant derivative G[mu] = -i dphi[mu] - a[mu] phi, g and da with one.
     """
     grid = ParamGrid(phi.shape[1:])
     d = grid.d
@@ -248,43 +243,27 @@ def _first_derivatives(phi: np.ndarray, rows: slice) -> dict:
     da = np.stack([np.stack([D(A[tau], nu, inner) for tau in range(d)]) for nu in range(d)])
     phi, dphi, A = phi[:, inner], dphi[:, :, inner], A[:, inner]
     G = np.stack([-1j * dphi[mu] - A[mu] * phi for mu in range(d)])
-
-    pairs = [(m, n) for m in range(d) for n in range(m, d)]
     g = np.zeros((d, d) + G.shape[2:])
-    for m, n in pairs:
-        g[m, n] = g[n, m] = np.real(np.conj(G[m][0]) * G[n][0] + np.conj(G[m][1]) * G[n][1])
+    for m in range(d):
+        for n in range(m, d):
+            g[m, n] = g[n, m] = np.real(np.conj(G[m][0]) * G[n][0] + np.conj(G[m][1]) * G[n][1])
+    base = dict(a=A, dphi=dphi, da=da, g=g, G=G)
 
-    gaa = {(m, n): g[m, n] + A[m] * A[n] for m, n in pairs}
-    b = {(m, n): da[m, n] - da[n, m] for m, n in pairs if m < n}
-    return dict(grid=grid, window=slice(w, w + hi - lo), a=A, dphi=dphi, da=da, g=g, G=G,
-                gaa=gaa, b=b)
-
-
-def _slab(phi: np.ndarray, rows: slice) -> TensorFieldSet:
-    """The TensorFieldSet of a spinor from build_family on a slice of axis-0
-    rows, from the slab's fields of _first_derivatives."""
-    base = _first_derivatives(phi, rows)
-    grid, window = base["grid"], base["window"]
-    d = grid.d
-    A, G, da = base["a"][:, window], base["G"][:, :, window], base["da"][:, :, window]
+    window = slice(w, w + hi - lo)
+    A, G, da = A[:, window], G[:, :, window], da[:, :, window]
     c = np.zeros((d, d, d) + A.shape[1:])
     dten = np.zeros((d, d, d) + A.shape[1:])
     for nu in range(d):
         for tau in range(d):
-            H = [-1j * grid.diff(base["G"][tau][s], nu, window) - A[nu] * G[tau][s] for s in range(2)]
+            H = [-1j * D(base["G"][tau][s], nu, window) - A[nu] * G[tau][s] for s in range(2)]
             for mu in range(d):
                 bracket = np.conj(G[mu][0]) * H[0] + np.conj(G[mu][1]) * H[1]
                 c[mu, nu, tau] = bracket.real
                 dten[mu, nu, tau] = bracket.imag
     # the curvature is the antisymmetric part: b[mu, nu] = da[mu, nu] - da[nu, mu]
-    return TensorFieldSet(grid=grid, rows=rows, a=A, b=da - da.swapaxes(0, 1),
-                          g=base["g"][:, :, window], c=c, d=dten,
-                          dphi=base["dphi"][:, :, window], da=da, base=base)
-
-
-def tensors(phi: np.ndarray) -> TensorFieldSet:
-    """The TensorFieldSet of a spinor from build_family on its whole grid."""
-    return _slab(phi, slice(None))
+    return TensorFieldSet(grid=grid, window=window, a=A, b=da - da.swapaxes(0, 1),
+                          g=g[:, :, window], c=c, d=dten, dphi=dphi[:, :, window], da=da,
+                          base=base)
 
 
 def _peak(residual):
@@ -306,14 +285,14 @@ def check_cb_identity(ts: TensorFieldSet) -> float:
     bit: only tau < mu is differentiated, and the diagonal residual is c - c.
     """
     d = ts.grid.d
-    c = ts.c
+    c, da = ts.c, ts.base["da"]
 
     def pieces():
         for tau in range(d):
             for sig in range(d):
                 yield c[tau, sig, tau] - c[tau, sig, tau]
                 for mu in range(tau + 1, d):
-                    half_db = 0.5 * ts.diff(ts.base["b"][tau, mu], sig)
+                    half_db = 0.5 * ts.diff(da[tau, mu] - da[mu, tau], sig)
                     yield c[tau, sig, mu] - c[mu, sig, tau] - half_db
                     yield c[mu, sig, tau] - c[tau, sig, mu] + half_db
 
@@ -341,15 +320,15 @@ def check_decompositions(ts: TensorFieldSet) -> dict:
     d = ts.grid.d
     D = ts.diff
     dphi, A, g, b, da = ts.dphi, ts.a, ts.g, ts.b, ts.da
-
-    dgaa = _symmetric_derivatives(D, lambda m, n: ts.base["gaa"][m, n], d)
+    base = ts.base
+    dgaa = _symmetric_derivatives(D, lambda m, n: base["g"][m, n] + base["a"][m] * base["a"][n], d)
 
     # peaks of |residual| per piece: no full residual outlives its iteration,
     # and the spinor's second derivatives live for one (nu, tau)
     d_raw, c_raw, real_part = [], [], []
     for nu in range(d):
         for tau in range(d):
-            ddphi = [D(ts.base["dphi"][tau][s], nu) for s in range(2)]
+            ddphi = [D(base["dphi"][tau][s], nu) for s in range(2)]
             for mu in range(d):
                 raw = np.conj(dphi[mu][0]) * ddphi[0] + np.conj(dphi[mu][1]) * ddphi[1]
                 d_expected = (
@@ -388,7 +367,7 @@ IDENTITY_NAMES = (
 
 def _slab_residuals(phi: np.ndarray, rows: slice) -> dict:
     """Peak |residual| of the five identities on one slab (freed on return)."""
-    ts = _slab(phi, rows)
+    ts = tensors(phi, rows)
     return {**check_decompositions(ts), "d_plus_christoffel": check_d_christoffel(ts),
             "c_b_exchange": check_cb_identity(ts)}
 

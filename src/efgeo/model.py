@@ -33,6 +33,12 @@ MODEL_EDGE = -1.0 / 3.0
 # 1e153 at n = 4096 and 2e152 at n = 16384, propagate's square from 1.34e154;
 # at the bound every subcommand runs clean up to n = 65536.
 MAX_STEEPNESS = 1e151
+# fewest grid points across the front 1/(gamma (1 + eta t)) at the latest time.
+# Default verify-identity: relative residual 1.02e-2 at 0.96 points, 7.3e-3 at
+# 1.00, a PASS from 1.26 (n = 1008) on; emit-figure's test range [0, 4 pi] runs
+# at n = 1024 with 1.13.  It does not imply MAX_STEEPNESS: the width rule lets
+# dx fall to about 1e-155 at mass 1e308.
+MIN_POINTS_ACROSS_FRONT = 1.0
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,9 @@ def vector_potential(x, t, params: ModelParams):
 
 def check_grid(params: ModelParams, grid: Grid1D, times):
     """Refuse no times or a non-finite time, a time at or before MODEL_EDGE, a
-    front steeper than MAX_STEEPNESS, a grid too coarse for the packet, or a
-    domain leaving more of it outside than ef's norm check accepts at `times`."""
+    front steeper than MAX_STEEPNESS, a grid too coarse for the packet or for
+    the front, or a domain leaving more of the packet outside than ef's norm
+    check accepts at `times`."""
     if np.size(times) == 0:
         raise ConfigError("no times to check the grid at")
     if not np.all(np.isfinite(times)):
@@ -164,6 +171,13 @@ def check_grid(params: ModelParams, grid: Grid1D, times):
         raise ConfigError(
             f"grid spacing dx = {grid.dx:.3g} gives {narrowest / grid.dx:.3g} points across the "
             f"narrowest packet width {narrowest:.3g}; need at least {MIN_POINTS_PER_WIDTH}"
+        )
+    steepness = params.gamma * (1.0 + params.eta * last)
+    if not 1.0 >= MIN_POINTS_ACROSS_FRONT * steepness * grid.dx:  # a product, as above
+        raise ConfigError(
+            f"gamma = {params.gamma:g} with n = {grid.n} gives {1.0 / (steepness * grid.dx):.3g} "
+            f"points across the front 1/(gamma (1 + eta t)) at t = {last:.6g}; "
+            f"need at least {MIN_POINTS_ACROSS_FRONT}"
         )
     centres = mean_position(times, params)
     widths = width(times, params)

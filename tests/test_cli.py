@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from efgeo import cli, geometry, identity, model, propagator
 from efgeo.cli import main
+from efgeo.grid import central_difference
 
 
 def run(argv):
@@ -151,28 +153,103 @@ class TestVerifyTensors:
         assert run(["verify-tensors", "--sizes", "8,16", "--out", str(out)]) == 2
         assert not any(out.iterdir())
 
-    def test_nan_residual_fails(self, tmp_path):
+    def test_nan_residual_fails(self, tmp_path, capsys):
+        assert run(_QUICK_TENSORS + ["--out", str(tmp_path / "clean")]) == 0
+        capsys.readouterr()
         out = tmp_path / "vtn"
-        clean = geometry._slab
+        clean = geometry.tensors
 
-        def poisoned(phi, rows):
+        def poisoned(phi, rows=slice(None)):
             # the slab holding row 3 of the grid
             ts = clean(phi, rows)
             if rows.start <= 3 < rows.stop:
                 ts.c[1, 1, 0][3 - rows.start, 4] = np.nan
             return ts
 
-        with mock.patch.object(geometry, "_slab", poisoned):
-            code = run(["verify-tensors", "--recipes", "smooth", "--sizes", "32,40",
-                        "--out", str(out)])
+        with mock.patch.object(geometry, "tensors", poisoned):
+            code = run(_QUICK_TENSORS + ["--out", str(out)])
         assert code == 1
         report = json.loads((out / "report.json").read_text())
         assert not report["passed"]
         assert np.isnan(report["recipes"]["smooth"]["c_b_exchange"]["max_abs"][0])
+        assert "tensors[smooth]: worst residual nan -> FAIL" in capsys.readouterr().out
 
     def test_unknown_recipe(self, tmp_path):
         assert run(["verify-tensors", "--recipes", "mystery",
                     "--out", str(tmp_path / "x")]) == 2
+
+
+# d = 2, smooth recipe: worst residual 7.84e-7 against tol 1e-6, order about 4
+_QUICK_TENSORS = ["verify-tensors", "--recipes", "smooth", "--sizes", "64,72"]
+
+
+def _drop_aaa(monkeypatch):
+    # c_expected without its - A[mu] A[nu] A[tau] term: the same residual as
+    # c - A A A against the whole expansion, and c_raw is the only piece of
+    # check_decompositions that reads c
+    clean = geometry.check_decompositions
+
+    def mutated(ts):
+        A = ts.a
+        aaa = A[:, None, None] * A[None, :, None] * A[None, None, :]
+        return clean(dataclasses.replace(ts, c=ts.c - aaa))
+
+    monkeypatch.setattr(geometry, "check_decompositions", mutated)
+
+
+def _swap_christoffel(monkeypatch):
+    # gamma[nu, mu, tau] in place of gamma[mu, nu, tau]
+    clean = geometry._christoffel_pieces
+
+    def mutated(ts):
+        pieces = dict(clean(ts))
+        for mu, nu, tau in pieces:
+            yield (mu, nu, tau), pieces[nu, mu, tau]
+
+    monkeypatch.setattr(geometry, "_christoffel_pieces", mutated)
+
+
+class _ScaledDiff(geometry.TensorFieldSet):
+    # check_cb_identity differentiates only the curvature, so 1.2 times its
+    # derivative puts 0.6 in place of 1/2 on half_db
+    def diff(self, values, axis):
+        return 1.2 * super().diff(values, axis)
+
+
+def _scale_half_db(monkeypatch):
+    clean = geometry.check_cb_identity
+
+    def mutated(ts):
+        return clean(_ScaledDiff(**{f.name: getattr(ts, f.name) for f in dataclasses.fields(ts)}))
+
+    monkeypatch.setattr(geometry, "check_cb_identity", mutated)
+
+
+def _second_order_stencil(monkeypatch):
+    # (f[i+1] - f[i-1]) / 2h in place of fd4: every residual converges at
+    # order 2, below slope_min
+    def fd2(grid, values, axis, rows=slice(None)):
+        window, values = (rows, values) if axis == 0 else (slice(None), values[rows])
+        return central_difference(values, (1.0,), 2.0 * grid.spacings[axis], axis, window)
+
+    monkeypatch.setattr(geometry.ParamGrid, "diff", fd2)
+
+
+TENSOR_MUTATIONS = {
+    "drop_aaa": _drop_aaa,
+    "swap_christoffel": _swap_christoffel,
+    "scale_half_db": _scale_half_db,
+    "second_order_stencil": _second_order_stencil,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(TENSOR_MUTATIONS))
+def test_tensor_mutation_fails(mutation, tmp_path, capsys, monkeypatch):
+    assert run(_QUICK_TENSORS + ["--out", str(tmp_path / "clean")]) == 0
+    assert capsys.readouterr().out.endswith("-> PASS\n")
+    TENSOR_MUTATIONS[mutation](monkeypatch)
+    assert run(_QUICK_TENSORS + ["--out", str(tmp_path / "mutated")]) == 1
+    assert "-> FAIL" in capsys.readouterr().out
 
 
 class TestPropagate:
@@ -280,6 +357,10 @@ BAD_INPUTS = {
     ],
     "overflowing_steepness_identity": lambda p: [
         "verify-identity", "--gamma", "1e155", "--n", "512", "--t-end", "0.01", "--samples", "2"
+    ],
+    # about 3e-147 grid points across the front: its potential gradients overflow
+    "unresolved_front": lambda p: [
+        "verify-identity", "--gamma", "9.9e150", "--n", "262144", "--t-end", "0.01", "--samples", "2"
     ],
     # a convergence order is a fit through the sizes
     "repeated_sizes": lambda p: ["verify-tensors", "--sizes", "32,32"],

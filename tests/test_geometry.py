@@ -69,6 +69,14 @@ class TestRecipes:
         with pytest.raises(ConfigError, match=r"\|w\| reaches 1.2000 > 0.999"):
             geo.build_family(bad, grid)
 
+    def test_field_that_does_not_broadcast_to_the_grid(self):
+        # a recipe field may depend on fewer axes, but must broadcast
+        grid = geo.ParamGrid((32, 40))
+        rec = geo.smooth_recipe()
+        bad = geo.FamilyRecipe(w=rec.w, phi=lambda *Q: np.zeros((40, 32)), a=rec.a)
+        with pytest.raises(ConfigError, match=r"recipe field phi has shape \(40, 32\), expected \(32, 40\)"):
+            geo.build_family(bad, grid)
+
     def test_constant_family_all_tensors_vanish(self):
         grid = geo.ParamGrid((32, 32))
         ts = geo.tensors(geo.build_family(geo.constant_recipe(), grid))
@@ -280,7 +288,7 @@ class TestStreamedBench:
         assert (rows >= m) if d < 3 else (m % rows)
         rec = geo.NAMED_RECIPES[recipe]()
         ts = geo.tensors(geo.build_family(rec, geo.ParamGrid((m,) * d)))
-        assert ts.rows == slice(None) and ts.c.shape == (d,) * 3 + (m,) * d
+        assert ts.c.shape == (d,) * 3 + (m,) * d
         whole = geo.check_decompositions(ts)
         whole["d_plus_christoffel"] = geo.check_d_christoffel(ts)
         whole["c_b_exchange"] = geo.check_cb_identity(ts)
@@ -338,9 +346,9 @@ class TestStreamedBench:
 
 
 def _whole_grid_base(phi):
-    """The first-derivative fields of _first_derivatives on every row of the
-    grid at once, as they were taken before each slab took its own.  Oracle
-    for the per-slab fields."""
+    """The fields of a TensorFieldSet's base on every row of the grid at
+    once, as they were taken before each slab took its own.  Oracle for the
+    per-slab fields."""
     grid = geo.ParamGrid(phi.shape[1:])
     d = grid.d
     D = grid.diff
@@ -354,9 +362,7 @@ def _whole_grid_base(phi):
     for m, n in pairs:
         g[m, n] = g[n, m] = np.real(np.conj(G[m][0]) * G[n][0] + np.conj(G[m][1]) * G[n][1])
     da = np.stack([np.stack([D(A[tau], nu) for tau in range(d)]) for nu in range(d)])
-    gaa = {(m, n): g[m, n] + A[m] * A[n] for m, n in pairs}
-    b = {(m, n): da[m, n] - da[n, m] for m, n in pairs if m < n}
-    return dict(a=A, dphi=dphi, da=da, g=g, G=G, gaa=gaa, b=b)
+    return dict(a=A, dphi=dphi, da=da, g=g, G=G)
 
 
 class TestSlabBase:
@@ -379,16 +385,14 @@ class TestSlabBase:
         rows = slice(start, min(start + step, m))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         phi = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
-        base = geo._first_derivatives(phi, rows)
+        ts = geo.tensors(phi, rows)
         whole = _whole_grid_base(phi)
         held = np.arange(rows.start - 2, rows.stop + 2)
-        assert base["window"] == slice(2, 2 + rows.stop - rows.start)
-        for name, value in whole.items():
-            pieces = value.items() if isinstance(value, dict) else [(None, value)]
-            for key, field in pieces:
-                got = base[name][key] if key is not None else base[name]
-                expected = np.take(field, held, axis=field.ndim - len(shape), mode="wrap")
-                assert np.array_equal(got, expected), (name, key)
+        assert ts.window == slice(2, 2 + rows.stop - rows.start)
+        assert ts.base.keys() == whole.keys()
+        for name, field in whole.items():
+            expected = np.take(field, held, axis=field.ndim - len(shape), mode="wrap")
+            assert np.array_equal(ts.base[name], expected), name
 
 
 class TestNanResiduals:

@@ -366,3 +366,17 @@ class TestCheckGrid:
     def test_nan_time_refused_as_nan(self, times):
         with pytest.raises(ConfigError, match="a time is NaN"):
             model.check_grid(ModelParams(), Grid1D(-4.0, 6.0, 1024), times)
+
+    @pytest.mark.parametrize("n, t_end, accepted", [
+        (768, 10.0, False),       # 0.96 points across the front at t = 10
+        (1024, 10.0, True),       # 1.28, a default-window PASS at 8.4e-4
+        (1024, 4 * np.pi, True),  # 1.13, emit-figure's range in test_cli
+        (4096, 10.0, True),       # 5.12, the default grid
+    ])
+    def test_front_needs_points_across_it(self, n, t_end, accepted):
+        check = lambda: model.check_grid(ModelParams(), Grid1D(-4.0, 6.0, n), [0.0, t_end])
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ConfigError, match=r"gamma = 40 with n = 768 gives 0.96 points"):
+                check()

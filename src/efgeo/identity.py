@@ -10,6 +10,11 @@ Two candidate weightings of the right side are evaluated: reading "A"
 leaves the second and fourth integrands unweighted, reading "B" weights
 them by the marginal density as the general multi-dimensional form
 requires.  The verdict between them is decided numerically, never assumed.
+
+Every state is built on model.packet_extent alone, with exact zeros
+elsewhere: the decomposition and the identity read it on the support
+window and one stencil half-width around it, which the extent holds, so
+every value they read has the bits of the whole-grid build.
 """
 
 from __future__ import annotations
@@ -126,7 +131,8 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
 def check_settings(t_start: float, t_end: float, delta_t: float, rel_tol: float, mutation: str):
     """Refuse settings with which verify cannot reach a verdict: a delta_t or
     rel_tol that is not positive, a stencil that reaches model.MODEL_EDGE
-    below t_start or overflows above t_end, or an unknown mutation."""
+    below t_start, overflows above t_end or whose times round onto each
+    other, or an unknown mutation."""
     _check_stencil(t_start, t_end, delta_t)
     if not rel_tol > 0.0:
         raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
@@ -135,7 +141,8 @@ def check_settings(t_start: float, t_end: float, delta_t: float, rel_tol: float,
 
 def _check_stencil(t_start, t_end, delta_t):
     """Refuse a delta_t that is not positive, or whose stencil around
-    [t_start, t_end] reaches model.MODEL_EDGE or overflows."""
+    [t_start, t_end] reaches model.MODEL_EDGE, overflows, or is not strictly
+    increasing: t + delta_t that rounds to t leaves the rate a 0/delta_t."""
     if not delta_t > 0.0:
         raise ConfigError(f"delta_t must be positive, got {delta_t}")
     if not t_start + STENCIL[0] * delta_t > model.MODEL_EDGE:
@@ -146,6 +153,14 @@ def _check_stencil(t_start, t_end, delta_t):
         )
     if not math.isfinite(t_end + STENCIL[-1] * delta_t):
         raise ConfigError(f"delta_t = {delta_t} is too large: t_end + 2 delta_t overflows")
+    # the times between lie in [t_start, t_end]: no float spacing there is
+    # coarser than at an end
+    for t in (t_start, t_end):
+        if not np.all(np.diff(t + delta_t * np.array(STENCIL)) > 0.0):
+            raise ConfigError(
+                f"delta_t = {delta_t} is too small at t = {t:.6g}: the stencil times "
+                "t + k delta_t, k = -2..2, round onto each other"
+            )
 
 
 def _check_mutation(mutation):
@@ -154,7 +169,7 @@ def _check_mutation(mutation):
 
 
 def _decompose_at(params, grid, t):
-    psi = model.assemble_psi(t, grid, params)
+    psi = model.assemble_psi(t, grid, params, model.packet_extent(t, grid, params, METHOD))
     return ef.decompose(psi, inertia=params.inertia, method=METHOD)
 
 

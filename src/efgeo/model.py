@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ef import NORM_TOL, TwoComponentWavefunction
+from .ef import DEFAULT_FLOOR_RATIO, EXTENSION_RATIO, NORM_TOL, TwoComponentWavefunction
 from .errors import ConfigError
-from .grid import Grid1D
+from .grid import _D1_COEFFS, Grid1D
 
 _CLIP = 700.0  # exp argument guard
 # fewest grid points across the narrowest packet width 1/(3 sqrt(mass)).
@@ -193,6 +193,28 @@ def check_grid(params: ModelParams, grid: Grid1D, times):
         )
 
 
+def packet_extent(t, grid: Grid1D, params: ModelParams, method: str) -> slice:
+    """Points that a decomposition by `method` at time t reads of the state.
+
+    The gaussian drops below ef's support level, EXTENSION_RATIO times the
+    mask floor DEFAULT_FLOOR_RATIO, at sqrt(ln(1 / (DEFAULT_FLOOR_RATIO
+    EXTENSION_RATIO))) = 6.26 widths from its centre.  Beyond those points
+    sit the decomposition window's two stencil half-widths and the one
+    half-width that a derivative on the window reads; one point more covers
+    the grid's density maximum lying below the gaussian's peak.  Where that
+    slice would leave [0, n), the extent is the whole grid, as the window
+    is in ef._window: a window over the whole periodic grid reads every
+    point.  A rule on how far the packet keeps from the domain's edges
+    reads its level here.
+    """
+    reach = math.sqrt(-math.log(DEFAULT_FLOOR_RATIO * EXTENSION_RATIO)) * float(width(t, params))
+    centre = float(mean_position(t, params))
+    halo = 3 * len(_D1_COEFFS[method][0]) + 1
+    lo = math.ceil((centre - reach - grid.x_min) / grid.dx) - halo
+    hi = math.floor((centre + reach - grid.x_min) / grid.dx) + 1 + halo
+    return slice(lo, hi) if 0 <= lo and hi <= grid.n else slice(0, grid.n)
+
+
 def _potential_from_rates(u, xbar_rate, sigma_rate, inertia):
     return (xbar_rate + u * sigma_rate) / inertia
 
@@ -211,15 +233,18 @@ class _Fields:
     q).  Every other field is computed on first read and cached: chi2,
     chi_abs and alpha for the state; w_x, w_xx, phi_xx, w_t, s_t, phi_t,
     phi_xt, lnchi_x, lnchi_xx, vector_potential, alpha_x and alpha_t for the
-    Hamiltonian entries; alpha_xx for the tests.
+    Hamiltonian entries; alpha_xx for the tests.  chi2, chi_abs and alpha
+    span `window` (by default the whole grid), the points at which
+    assemble_psi builds the state; every other field spans the grid.
     """
 
-    def __init__(self, t: float, grid: Grid1D, params: ModelParams):
+    def __init__(self, t: float, grid: Grid1D, params: ModelParams, window: slice = slice(None)):
         eta, gamma = params.eta, params.gamma
         self.x = x = grid.x
         self.t = float(t)
         self.grid = grid
         self.params = params
+        self.window = window
 
         self.sigma = float(width(t, params))
         self.sigma_rate = float(width_rate(t, params))
@@ -295,7 +320,7 @@ class _Fields:
     @cached_property
     def chi2(self):
         # the one gaussian formula, whose u and sigma repeat this object's bits
-        return nuclear_density(self.x, self.t, self.params)
+        return nuclear_density(self.x[self.window], self.t, self.params)
 
     @cached_property
     def chi_abs(self):
@@ -304,8 +329,9 @@ class _Fields:
     @cached_property
     def alpha(self):
         # alpha = int_{x_min}^{x} (2A + w phi_x); drift part in closed form,
-        # localized front part by spectral antiderivative.
-        return self._drift_phase(self.x) + self.grid.cumulative_integral(self.w * self.phi_x)
+        # localized front part by spectral antiderivative over the whole grid
+        front = self.grid.cumulative_integral(self.w * self.phi_x)
+        return self._drift_phase(self.x[self.window]) + front[self.window]
 
     @cached_property
     def alpha_t(self):
@@ -380,11 +406,22 @@ def hamiltonian_entries(t, grid: Grid1D, params: ModelParams) -> HamiltonianFiel
     return HamiltonianFields(h0=h0, h1=h1, h3=h3)
 
 
-def assemble_psi(t, grid: Grid1D, params: ModelParams) -> TwoComponentWavefunction:
-    """Build the normalized two-component state at time t."""
-    f = _Fields(t, grid, params)
-    half_cos = np.sqrt(0.5 * (1.0 + f.w))
-    half_sin = np.sqrt(0.5 * (1.0 - f.w))
-    psi1 = f.chi_abs * np.exp(0.5j * (f.alpha - f.phi)) * half_cos
-    psi2 = f.chi_abs * np.exp(0.5j * (f.alpha + f.phi)) * half_sin
+def assemble_psi(t, grid: Grid1D, params: ModelParams,
+                 window: slice = slice(None)) -> TwoComponentWavefunction:
+    """Build the normalized two-component state at time t on the points of
+    window (by default the whole grid), with exact zeros elsewhere.
+
+    alpha, w and phi come from the whole grid, because alpha's spectral
+    antiderivative is global.  chi_abs, the two half-angle roots, the two
+    phases and their products are taken on window alone; each is
+    elementwise, so every point of window gets the bits of the whole-grid
+    build.  identity builds its states on packet_extent.
+    """
+    f = _Fields(t, grid, params, window)
+    w, alpha, phi = f.w[window], f.alpha, f.phi[window]
+    half_cos = np.sqrt(0.5 * (1.0 + w))
+    half_sin = np.sqrt(0.5 * (1.0 - w))
+    psi1, psi2 = np.zeros(grid.n, complex), np.zeros(grid.n, complex)
+    psi1[window] = f.chi_abs * np.exp(0.5j * (alpha - phi)) * half_cos
+    psi2[window] = f.chi_abs * np.exp(0.5j * (alpha + phi)) * half_sin
     return TwoComponentWavefunction(grid=grid, psi1=psi1, psi2=psi2)

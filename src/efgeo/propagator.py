@@ -138,11 +138,18 @@ def propagate(
     overridden independently (e.g. zero potential against a free-packet
     reference); h_provider(t) returns (h0, h1, h3), as
     model.hamiltonian_entries does.  Raises ConfigError, before any state
-    is built, for a grid that model.check_grid refuses at the sample times.
+    is built, for a grid that model.check_grid refuses at the sample times
+    and for more n_samples than the run has steps plus one.  The initial
+    state and the reference span the whole grid: every FFT of a step reads
+    each point.
     """
     n_steps = cfg.steps
     samples = sample_steps(n_steps, n_samples)
     model.check_grid(params, grid, np.asarray(samples) * cfg.dt)
+    # each sample records a distinct step; a run of no steps records its one state
+    if n_steps and len(samples) < n_samples:
+        raise ConfigError(f"n_samples = {n_samples} exceeds the {n_steps + 1} step indices "
+                          f"0..{n_steps} of a run of {n_steps} steps")
     if h_provider is None:
         h_provider = lambda t: model.hamiltonian_entries(t, grid, params)
     if initial is None:

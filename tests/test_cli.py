@@ -309,6 +309,10 @@ BAD_INPUTS = {
     "reversed_identity_range": lambda p: ["verify-identity", "--t-start", "2", "--t-end", "1"],
     "no_propagate_samples": lambda p: ["propagate", *_SHORT_RUN, "--n-samples", "0"],
     "one_propagate_sample": lambda p: ["propagate", *_SHORT_RUN, "--n-samples", "1"],
+    # 2 steps have 3 step indices to record at
+    "more_propagate_samples_than_steps": lambda p: [
+        "propagate", "--n", "512", "--dt", "1e-3", "--t-end", "0.002", "--n-samples", "5"
+    ],
     "huge_int_for_float": lambda p: ["verify-identity", *_config(p, {"inertia": 10 ** 400})],
     "int_past_digit_limit": lambda p: [
         "verify-identity", *_raw_config(p, '{"inertia": ' + "1" * 5000 + "}")
@@ -330,6 +334,10 @@ BAD_INPUTS = {
         "verify-identity", "--delta-t", "0.5", "--t-end", "1", "--samples", "3", "--n", "1024"
     ],
     "delta_t_far_past_model_edge": lambda p: ["verify-identity", "--delta-t", "1e300"],
+    # t_end + delta_t rounds to t_end: the rate would read one state twice
+    "delta_t_below_time_spacing": lambda p: [
+        "verify-identity", "--delta-t", "1e-300", "--t-end", "1", "--samples", "3", "--n", "1024"
+    ],
     "negative_tensor_tol": lambda p: [
         "verify-tensors", "--tol=-1", "--dimension", "1", "--sizes", "32,40"
     ],
@@ -520,7 +528,8 @@ def test_singular_gauge_mid_run_exits_2_with_one_line(tmp_path, capsys):
 def test_subnormal_front_steepness_runs(tmp_path):
     # the resolution test used to divide by gamma * dx, which underflows to 0
     out = tmp_path / "prop"
-    assert run(["propagate", *_SHORT_RUN, "--gamma", "5e-324", "--out", str(out)]) == 0
+    assert run(["propagate", *_SHORT_RUN, "--n-samples", "3", "--gamma", "5e-324",
+                "--out", str(out)]) == 0
 
 
 def test_json_int_is_a_legal_float(tmp_path):

@@ -1,12 +1,16 @@
 import json
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from efgeo import ef, identity, model
 from efgeo.errors import ConfigError, VerificationFailure
-from efgeo.grid import Grid1D, five_point
+from efgeo.grid import _D1_COEFFS, Grid1D, five_point
 
 # independent oracle: closed-form metric integrated against the gaussian
 # density with a 2^18-point rectangle rule
@@ -168,6 +172,56 @@ class TestOnePass:
         identity.t_geo_series(params, grid1024, times)
         assert len(derivative) == (1 + len(times)) * per_decomposition
         assert energies == []
+
+
+def _whole_grid_extent(t, grid, params, method):
+    return slice(0, grid.n)
+
+
+class TestPacketExtent:
+    @settings(max_examples=40, deadline=None)
+    @given(eta=st.floats(0.01, 0.45), log_mass=st.floats(-0.5, 2.5), log_gamma=st.floats(0.0, 1.5),
+           t=st.floats(0.0, 10.0), resolution=st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+    def test_extent_keeps_the_whole_grid_bits(self, eta, log_mass, log_gamma, t, resolution):
+        params = model.ModelParams(eta=eta, mass=10.0 ** log_mass, gamma=10.0 ** log_gamma)
+        # `resolution` times the coarsest grid that check_grid accepts, most
+        # often set by MIN_POINTS_PER_WIDTH across the narrowest width
+        x_min, x_max = -8.0, 10.0
+        narrowest = 1.0 / (3.0 * math.sqrt(params.mass))
+        steepness = params.gamma * (1.0 + params.eta * t)
+        coarsest = max(model.MIN_POINTS_PER_WIDTH / narrowest,
+                       model.MIN_POINTS_ACROSS_FRONT * steepness) * (x_max - x_min)
+        grid = Grid1D(x_min, x_max, max(16, math.ceil(resolution * coarsest)))
+        # the whole-grid build first: where it refuses, so must the extent's
+        try:
+            with mock.patch.object(model, "packet_extent", _whole_grid_extent):
+                ref = identity._decompose_at(params, grid, t)
+                whole_terms = identity.rhs_terms(params, grid, [t])
+                whole_balance = identity.pointwise_check(params, grid, t)
+        except ConfigError:  # the domain, the state's norm or the entries refused
+            assume(False)
+
+        extent = model.packet_extent(t, grid, params, identity.METHOD)
+        dec = identity._decompose_at(params, grid, t)
+        # the state and its density are exact on the extent and zero off it
+        for name in ("psi1", "psi2", "chi2"):
+            built, whole = getattr(dec, name), getattr(ref, name)
+            assert np.array_equal(built[extent], whole[extent]), name
+            assert not built[:extent.start].any() and not built[extent.stop:].any(), name
+        for name in ("mask", "phi1", "phi2", "dphi1", "dphi2", "cov1", "cov2",
+                     "connection", "metric", "bracket"):
+            assert np.array_equal(getattr(dec, name), getattr(ref, name)), name
+        assert dec.window == ref.window
+        assert ef.geometric_energy(dec) == ef.geometric_energy(ref)
+        # every read of the state, the window and a half-width on either side, lies in the extent
+        if extent != slice(0, grid.n):
+            halo = len(_D1_COEFFS[identity.METHOD][0])
+            assert extent.start <= dec.window.start - halo
+            assert dec.window.stop + halo <= extent.stop
+        terms = identity.rhs_terms(params, grid, [t])
+        for reading in ("A", "B"):
+            assert np.array_equal(terms[reading], whole_terms[reading])
+        assert identity.pointwise_check(params, grid, t) == whole_balance
 
 
 class TestPointwiseBalance:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from efgeo import model
+from efgeo import ef, model
 from efgeo.errors import ConfigError
-from efgeo.grid import Grid1D, five_point
+from efgeo.grid import _D1_COEFFS, Grid1D, five_point
 from efgeo.model import ModelParams
 
 
@@ -331,6 +331,41 @@ class TestAssemblePsi:
         vis = rho > 1e-30 * rho.max()
         wrec = (np.abs(psi.psi1[vis]) ** 2 - np.abs(psi.psi2[vis]) ** 2) / rho[vis]
         assert np.max(np.abs(wrec - b.w[vis])) <= 1e-12
+
+
+    def test_window_keeps_the_whole_grid_bits_and_zeros_off_it(self, params, grid4096):
+        t, win = 1.4, slice(1000, 3000)  # the packet sits near x = 0.85, index 1987
+        whole = model.assemble_psi(t, grid4096, params)
+        part = model.assemble_psi(t, grid4096, params, win)
+        for built, ref in ((part.psi1, whole.psi1), (part.psi2, whole.psi2)):
+            assert np.array_equal(built[win], ref[win])
+            assert not built[:win.start].any() and not built[win.stop:].any()
+
+
+class TestPacketExtent:
+    # default model at t = 0: centre 0 and width 0.2108, so the support level
+    # sqrt(ln 1e17) widths lies 1.3192 from the centre.  With dx = 0.01 the
+    # extent reaches 19 points (3 fd12 half-widths and one) beyond it.
+    @pytest.mark.parametrize("x_min, inside", [(-1.504, True), (-1.494, False)])
+    def test_extent_at_the_left_edge(self, params, x_min, inside):
+        grid = Grid1D(x_min, x_min + 10.24, 1024)
+        extent = model.packet_extent(0.0, grid, params, "fd12")
+        # the level sits 18.48 and 17.48 points from the first point
+        assert extent.start == 0 if inside else extent == slice(0, grid.n)
+
+    @pytest.mark.parametrize("x_max, inside", [(1.514, True), (1.504, False)])
+    def test_extent_at_the_right_edge(self, params, x_max, inside):
+        grid = Grid1D(x_max - 10.24, x_max, 1024)
+        extent = model.packet_extent(0.0, grid, params, "fd12")
+        # the last point at or inside the level is 1004 and 1005
+        assert extent.stop == grid.n if inside else extent == slice(0, grid.n)
+
+    def test_extent_holds_the_window_and_its_halo(self, params):
+        grid = Grid1D(-1.504, 8.736, 1024)
+        extent = model.packet_extent(0.0, grid, params, "fd12")
+        window = ef.decompose(model.assemble_psi(0.0, grid, params)).window
+        halo = len(_D1_COEFFS["fd12"][0])
+        assert extent.start <= window.start - halo and window.stop + halo <= extent.stop
 
 
 class TestContinuity:

@@ -8,14 +8,14 @@ their discrete residuals are pure stencil truncation and must shrink at the
 stencil order under refinement.  Derivatives are 4th-order central stencils
 with periodic wrap; recipes must therefore produce periodic spinors.
 
-build_family evaluates a recipe into that state, a spinor array whose shape
-fixes its grid.  Every stencil and product is local, so identity_residuals
-works on slabs of about SLAB_POINTS grid points, whole axis-0 rows each, and
-tensors(phi, rows) builds one slab: it takes the slab's first-derivative
-fields from a wrapped copy of the slab's spinor rows and three stencil
-half-widths on either side of them, then the rank-3 tensors; the derivative
-tables and the residuals of the slab read those fields as stencil inputs.  No
-axis-0 stencil wraps after the copy, and every point keeps the bits of the
+build_family evaluates a recipe into that state, a spinor array, on the
+whole grid or on given axis-0 rows.  Every stencil and product is local, so
+identity_residuals works in one pass over slabs of about SLAB_POINTS grid
+points, whole axis-0 rows each: tensors(phi, rows, carry) builds a slab's
+spinor rows from the recipe, its first-derivative fields and its rank-3
+tensors, and takes over from the slab before it the rows of those fields
+that both hold (the carry).  Every row's first derivatives are taken once,
+no field of the grid is held whole, and every point keeps the bits of the
 whole-grid evaluation.
 
 Index convention for the Christoffel symbol of the first kind, chosen so
@@ -35,8 +35,9 @@ from .errors import ConfigError
 from .grid import _D1_COEFFS, central_difference
 
 _W_BOUND = 1.0 - 1e-3
-# grid points per slab, in whole axis-0 rows and at least one: at 72^3, 1 to 3
-# rows' worth peak at the spinor's build (70 MB RSS), 4 and 6 at 75 and 87 MB
+# grid points per slab, in whole axis-0 rows and at least one.  At 64^3 + 72^3
+# (2-vCPU Xeon) 4 rows' worth ran fastest of 2 to 8 in one process; 3 peaked
+# 8.7 % lower in 6 alternating benchmark pairs but ran no faster (3 of 6).
 SLAB_POINTS = 4 * 72 ** 2
 
 
@@ -67,9 +68,13 @@ class ParamGrid:
     def spacings(self) -> tuple:
         return tuple(2.0 * np.pi / m for m in self.shape)
 
-    def meshes(self):
-        """Open coordinate meshes: axis k varies along dimension k only."""
+    def meshes(self, rows=None):
+        """Open coordinate meshes: axis k varies along dimension k only.  Given
+        axis-0 row indices, axis 0 holds the coordinates of those rows,
+        wrapped round the axis: row i has the coordinate of row i mod m."""
         axes = [h * np.arange(m) for h, m in zip(self.spacings, self.shape)]
+        if rows is not None:
+            axes[0] = np.take(axes[0], rows, mode="wrap")
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
     def diff(self, values: np.ndarray, axis: int, rows: slice = slice(None)) -> np.ndarray:
@@ -138,22 +143,26 @@ NAMED_RECIPES = {
 }
 
 
-def build_family(recipe: FamilyRecipe, grid: ParamGrid) -> np.ndarray:
+def build_family(recipe: FamilyRecipe, grid: ParamGrid, rows=None) -> np.ndarray:
     """The two-level conditional state of a recipe over a ParamGrid: a complex
     array of shape (2,) + grid.shape; smooth and periodic.
 
-    The gauge field enters as a full overall phase, so a pure gauge
-    change a -> a + theta shifts the connection by exactly the gradient
-    of theta.
+    Given axis-0 row indices, only those rows, wrapped round the axis, in an
+    array of shape (2, len(rows)) + grid.shape[1:]: each point takes its
+    coordinates from ParamGrid.meshes, so it gets the bits of the whole-grid
+    build, and |w| is checked on those rows alone.  The gauge field enters as
+    a full overall phase, so a pure gauge change a -> a + theta shifts the
+    connection by exactly the gradient of theta.
     """
-    Q = grid.meshes()
+    Q = grid.meshes(rows)
+    shape = Q[0].shape[:1] + grid.shape[1:]
     fields = []
     for name in ("w", "phi", "a"):
         arr = np.asarray(getattr(recipe, name)(*Q), dtype=float)
         try:
-            arr = np.broadcast_to(arr, grid.shape)
+            arr = np.broadcast_to(arr, shape)
         except ValueError:
-            raise ConfigError(f"recipe field {name} has shape {arr.shape}, expected {grid.shape}") from None
+            raise ConfigError(f"recipe field {name} has shape {arr.shape}, expected {shape}") from None
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"recipe field {name} is not finite")
         fields.append(arr)
@@ -173,9 +182,10 @@ class TensorFieldSet:
     the spinor's first derivatives dphi[mu] and the connection gradient
     da[nu,tau] = d_nu a[tau], whose antisymmetric part is b.  base holds a,
     dphi, da, g and the covariant derivative G on the slab's rows and one fd4
-    half-width on either side; window is the slab's rows among them.  The
-    Christoffel symbol is never held whole: _christoffel_pieces yields it one
-    component at a time."""
+    half-width on either side; window is the slab's rows among them.  carry
+    holds the rows that the next slab takes over, as views.  The Christoffel
+    symbol is never held whole: _christoffel_pieces yields it one component
+    at a time."""
 
     grid: ParamGrid
     window: slice
@@ -187,6 +197,7 @@ class TensorFieldSet:
     dphi: np.ndarray = field(repr=False)
     da: np.ndarray = field(repr=False)
     base: dict = field(repr=False)
+    carry: dict = field(repr=False)
 
     def diff(self, values: np.ndarray, axis: int) -> np.ndarray:
         """The derivative of a field of base on the slab's rows."""
@@ -217,40 +228,87 @@ def _christoffel_pieces(ts: TensorFieldSet):
         yield (mu, nu, tau), 0.5 * (dg[mu, nu, tau] + dg[mu, tau, nu] - dg[nu, tau, mu])
 
 
-def tensors(phi: np.ndarray, rows: slice = slice(None)) -> TensorFieldSet:
-    """The TensorFieldSet of a spinor from build_family on a slice of axis-0
-    rows, by default every row.
+def tensors(phi, rows: slice = slice(None), carry: dict | None = None) -> TensorFieldSet:
+    """The TensorFieldSet of a spinor on a slice of axis-0 rows, by default
+    every row; row indices wrap round the axis.  phi is the spinor from
+    build_family, or a (recipe, grid) pair whose rows the slab builds with
+    build_family.
 
-    The fields of base come from a copy of the slab's spinor rows and three
-    fd4 half-widths on either side, wrapped round the axis: dphi and a are
-    taken with two half-widths on either side of the slab's rows, the
-    covariant derivative G[mu] = -i dphi[mu] - a[mu] phi, g and da with one.
+    The spinor is held on the slab's rows and three fd4 half-widths on either
+    side, dphi and a on two, the covariant derivative
+    G[mu] = -i dphi[mu] - a[mu] phi, g and da on one.  Given the carry of the
+    slab that ends where this one starts, each field takes over the carried
+    rows and builds only the rows past them; the carry lets go of each, so
+    that the slab before is freed field by field.
     """
-    grid = ParamGrid(phi.shape[1:])
+    if isinstance(phi, np.ndarray):
+        grid = ParamGrid(phi.shape[1:])
+
+        def source(idx):
+            return np.take(phi, idx, axis=1, mode="wrap")
+    else:
+        recipe, grid = phi
+
+        def source(idx):
+            return build_family(recipe, grid, idx)
     d = grid.d
     D = grid.diff
     lo, hi, _ = rows.indices(grid.shape[0])
     w = len(_D1_COEFFS["fd4"][0])
-    phi = np.take(phi, np.arange(lo - 3 * w, hi + 3 * w), axis=1, mode="wrap")
-    outer = slice(w, phi.shape[1] - w)  # two half-widths on either side of the slab
+    carried = carry is not None
+    if carried and carry["stop"] != lo:
+        raise ValueError(f"slab {rows} does not start at row {carry['stop']}, where the carry stops")
 
-    dphi = np.stack([np.stack([D(phi[s], mu, outer) for s in range(2)]) for mu in range(d)])
-    phi = phi[:, outer]
-    A = np.stack(
-        [np.imag(np.conj(phi[0]) * dphi[mu][0] + np.conj(phi[1]) * dphi[mu][1]) for mu in range(d)]
-    )
-    inner = slice(w, phi.shape[1] - w)  # one half-width on either side of the slab
-    da = np.stack([np.stack([D(A[tau], nu, inner) for tau in range(d)]) for nu in range(d)])
-    phi, dphi, A = phi[:, inner], dphi[:, :, inner], A[:, inner]
-    G = np.stack([-1j * dphi[mu] - A[mu] * phi for mu in range(d)])
-    g = np.zeros((d, d) + G.shape[2:])
+    def field(name, lead, k, dtype=float):
+        """A field on the rows up to k half-widths past either side of the
+        slab, after leading axes `lead`, with the carried rows copied in; and
+        the slice of the rows left to build."""
+        kept = carry[name].shape[len(lead)] if carried else 0
+        built = hi - lo + (0 if carried else 2 * k * w)
+        out = np.empty(lead + (kept + built,) + grid.shape[1:], dtype)
+        if carried:
+            out[(slice(None),) * len(lead) + (slice(0, kept),)] = carry.pop(name)
+        return out, slice(kept, kept + built)
+
+    def before(new, held, gap):
+        """The rows of a source of held rows that line up with a field's new
+        rows; the source ends gap rows past the field."""
+        return slice(held - gap - (new.stop - new.start), held - gap)
+
+    # each field ends k half-widths past the slab: the spinor 3, dphi and a 2,
+    # the fields of base 1; a stencil reads one half-width past its rows
+    spinor, new = field("spinor", (2,), 3, complex)
+    spinor[:, new] = source(np.arange(hi + 3 * w - spinor.shape[1], hi + 3 * w)[new])
+    dphi, new = field("dphi", (d, 2), 2, complex)
+    A, _ = field("a", (d,), 2)
+    rows2 = before(new, spinor.shape[1], w)
+    for mu in range(d):
+        for s in range(2):
+            dphi[mu, s, new] = D(spinor[s], mu, rows2)
+        A[mu, new] = np.imag(np.conj(spinor[0, rows2]) * dphi[mu, 0, new]
+                             + np.conj(spinor[1, rows2]) * dphi[mu, 1, new])
+    da, new = field("da", (d, d), 1)
+    G, _ = field("G", (d, 2), 1, complex)
+    g, _ = field("g", (d, d), 1)
+    rows1 = before(new, A.shape[1], w)
+    phi_new = spinor[:, before(new, spinor.shape[1], 2 * w)]
+    for nu in range(d):
+        for tau in range(d):
+            da[nu, tau, new] = D(A[tau], nu, rows1)
+    for mu in range(d):
+        G[mu, :, new] = -1j * dphi[mu][:, rows1] - A[mu][rows1] * phi_new
     for m in range(d):
         for n in range(m, d):
-            g[m, n] = g[n, m] = np.real(np.conj(G[m][0]) * G[n][0] + np.conj(G[m][1]) * G[n][1])
-    base = dict(a=A, dphi=dphi, da=da, g=g, G=G)
+            g[m, n, new] = g[n, m, new] = np.real(np.conj(G[m, 0, new]) * G[n, 0, new]
+                                                  + np.conj(G[m, 1, new]) * G[n, 1, new])
+    held = slice(A.shape[1] - w - G.shape[2], A.shape[1] - w)  # the rows of base
+    base = dict(a=A[:, held], dphi=dphi[:, :, held], da=da, g=g, G=G)
+    # the rows the next slab, which starts at hi, holds below its own new rows
+    carry = dict(stop=hi, spinor=spinor[:, -2 * w:], dphi=dphi[:, :, -3 * w:], a=A[:, -3 * w:],
+                 da=da[:, :, -2 * w:], G=G[:, :, -2 * w:], g=g[:, :, -2 * w:])
 
     window = slice(w, w + hi - lo)
-    A, G, da = A[:, window], G[:, :, window], da[:, :, window]
+    A, G, da = base["a"][:, window], G[:, :, window], da[:, :, window]
     c = np.zeros((d, d, d) + A.shape[1:])
     dten = np.zeros((d, d, d) + A.shape[1:])
     for nu in range(d):
@@ -262,8 +320,8 @@ def tensors(phi: np.ndarray, rows: slice = slice(None)) -> TensorFieldSet:
                 dten[mu, nu, tau] = bracket.imag
     # the curvature is the antisymmetric part: b[mu, nu] = da[mu, nu] - da[nu, mu]
     return TensorFieldSet(grid=grid, window=window, a=A, b=da - da.swapaxes(0, 1),
-                          g=g[:, :, window], c=c, d=dten, dphi=dphi[:, :, window], da=da,
-                          base=base)
+                          g=g[:, :, window], c=c, d=dten, dphi=base["dphi"][:, :, window], da=da,
+                          base=base, carry=carry)
 
 
 def _peak(residual):
@@ -365,21 +423,28 @@ IDENTITY_NAMES = (
 )
 
 
-def _slab_residuals(phi: np.ndarray, rows: slice) -> dict:
-    """Peak |residual| of the five identities on one slab (freed on return)."""
-    ts = tensors(phi, rows)
-    return {**check_decompositions(ts), "d_plus_christoffel": check_d_christoffel(ts),
-            "c_b_exchange": check_cb_identity(ts)}
+def _slab_residuals(phi, rows: slice, carry: dict | None) -> tuple:
+    """Peak |residual| of the five identities on one slab, and the slab's
+    carry.  The slab is freed on return but for the fields that the carry's
+    views hold, which the next slab frees as it takes their rows over."""
+    ts = tensors(phi, rows, carry)
+    peaks = {**check_decompositions(ts), "d_plus_christoffel": check_d_christoffel(ts),
+             "c_b_exchange": check_cb_identity(ts)}
+    return peaks, ts.carry
 
 
 def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid) -> dict:
     """Peak |residual| of the five identities on one grid, by name: the
     largest of their peaks on each slab of SLAB_POINTS // (points per axis-0
-    row) rows, at least one."""
-    phi = build_family(recipe, grid)
+    row) rows, at least one.  The slabs run in row order, each building its
+    own rows of the spinor from the recipe and taking over the overlap that
+    the slab before it carries; no field of the grid is held whole."""
+    m = grid.shape[0]
     step = max(1, SLAB_POINTS // int(np.prod(grid.shape[1:])))
-    slabs = [_slab_residuals(phi, slice(start, min(start + step, grid.shape[0])))
-             for start in range(0, grid.shape[0], step)]
+    slabs, carry = [], None
+    for start in range(0, m, step):
+        peaks, carry = _slab_residuals((recipe, grid), slice(start, min(start + step, m)), carry)
+        slabs.append(peaks)
     return {name: _report(slab[name] for slab in slabs) for name in IDENTITY_NAMES}
 
 

@@ -21,11 +21,13 @@ from .errors import ConfigError
 from .grid import _D1_COEFFS, Grid1D
 
 _CLIP = 700.0  # exp argument guard
-# fewest grid points across the narrowest packet width 1/(3 sqrt(mass)).
-# Coarser grids fail the state-norm check; grids just finer still give an
-# identity residual of order 1 (1.47 relative at 1.69 points, mass 10, t in
-# [0, 1]), far above any tolerance a passing run meets.
-MIN_POINTS_PER_WIDTH = 1.5
+# fewest grid points across the narrowest packet width 1/(3 sqrt(mass)).  By
+# Poisson summation the gaussian exp(-u^2) sampled at dx misses its norm by
+# at most 2 exp(-pi^2 (width / dx)^2); this holds that to NORM_TOL / 2 (1.57
+# points), leaving the other half to the norm outside the domain.  Grids just
+# finer still give an identity residual of order 1 (1.47 relative at 1.69
+# points, mass 10, t in [0, 1]), far above any tolerance a passing run meets.
+MIN_POINTS_PER_WIDTH = math.sqrt(math.log(4.0 / NORM_TOL)) / math.pi
 # the model's front term 1 + 3t vanishes here; no state is built at or before it
 MODEL_EDGE = -1.0 / 3.0
 # largest front steepness gamma (1 + eta t): the potential entries grow like
@@ -170,7 +172,7 @@ def check_grid(params: ModelParams, grid: Grid1D, times):
     if not narrowest >= MIN_POINTS_PER_WIDTH * grid.dx:
         raise ConfigError(
             f"grid spacing dx = {grid.dx:.3g} gives {narrowest / grid.dx:.3g} points across the "
-            f"narrowest packet width {narrowest:.3g}; need at least {MIN_POINTS_PER_WIDTH}"
+            f"narrowest packet width {narrowest:.3g}; need at least {MIN_POINTS_PER_WIDTH:.3g}"
         )
     steepness = params.gamma * (1.0 + params.eta * last)
     if not 1.0 >= MIN_POINTS_ACROSS_FRONT * steepness * grid.dx:  # a product, as above

@@ -159,9 +159,9 @@ class TestVerifyTensors:
         out = tmp_path / "vtn"
         clean = geometry.tensors
 
-        def poisoned(phi, rows=slice(None)):
+        def poisoned(phi, rows=slice(None), carry=None):
             # the slab holding row 3 of the grid
-            ts = clean(phi, rows)
+            ts = clean(phi, rows, carry)
             if rows.start <= 3 < rows.stop:
                 ts.c[1, 1, 0][3 - rows.start, 4] = np.nan
             return ts
@@ -320,6 +320,11 @@ BAD_INPUTS = {
     "infinite_mass": lambda p: ["verify-identity", *_config(p, {"mass": float("inf")})],
     "unresolved_heavy_packet": lambda p: ["verify-identity", "--mass", "1e308"],
     "unresolved_coarse_grid": lambda p: ["verify-identity", "--n", "64"],
+    # 1.5 points across the narrowest width: the state misses its norm by 3.6e-10
+    "norm_lost_to_sampling": lambda p: [
+        "verify-identity", "--eta", "0.25", "--mass", "1", "--gamma", "1", "--x-min", "-8",
+        "--x-max", "10", "--n", "81", "--t-start", "1.6", "--t-end", "1.65", "--samples", "3"
+    ],
     "identity_domain_misses_packet": lambda p: ["verify-identity", *_OFF_PACKET],
     "figure_domain_misses_packet": lambda p: ["emit-figure", *_OFF_PACKET],
     "propagate_domain_misses_packet": lambda p: ["propagate", *_OFF_PACKET],

@@ -327,9 +327,11 @@ class TestStreamedBench:
         # spinor (2d), connection gradient (d^2), H (2d^2), the raw second
         # derivatives (2d^2) and the symmetric tables of the metric and of
         # g + A A (d^2 (d + 1) / 2 each), plus the curvature derivatives of
-        # the exchange identity (d^2 (d - 1) / 2); and on each slab's halo
-        # rows, the spinor's 2d derivatives on 2 x 4 rows and the d^2 of the
-        # connection on 2 x 2: (16 d + 4 d^2) rows' worth per slab
+        # the exchange identity (d^2 (d - 1) / 2); and once per grid, since
+        # each slab takes over the halo rows it shares with the slab before
+        # it, the halo rows wrapped round axis 0: the spinor's 2d derivatives
+        # on 2 x 4 rows and the d^2 of the connection on 2 x 2, (16 d + 4 d^2)
+        # rows' worth.  32^3 runs in slabs of 20 and 12 rows, 32^2 in one
         clean = geo.ParamGrid.diff
         points = []
 
@@ -341,8 +343,7 @@ class TestStreamedBench:
         monkeypatch.setattr(geo.ParamGrid, "diff", counted)
         geo.identity_residuals(geo.smooth_recipe(), geo.ParamGrid(shape))
         d, m = len(shape), shape[0]
-        slabs = {3: 2, 2: 1}[d]  # 32^3: slabs of SLAB_POINTS // 32^2 = 20 and 12 rows
-        assert sum(points) == (fields * m + (16 * d + 4 * d * d) * slabs) * m ** (d - 1)
+        assert sum(points) == (fields * m + 16 * d + 4 * d * d) * m ** (d - 1)
 
 
 def _whole_grid_base(phi):
@@ -393,6 +394,59 @@ class TestSlabBase:
         for name, field in whole.items():
             expected = np.take(field, held, axis=field.ndim - len(shape), mode="wrap")
             assert np.array_equal(ts.base[name], expected), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_chain_of_slabs_is_the_whole_grid_base_on_every_slab(self, data):
+        # slabs in row order, each taking over the carry of the one before:
+        # steps that leave a short last slab, and steps of m or more (one slab)
+        shape = data.draw(st.lists(st.integers(32, 40), min_size=1, max_size=3), label="shape")
+        m = shape[0]
+        step = data.draw(st.one_of(st.integers(1, m - 1).filter(lambda k: m % k),
+                                   st.integers(1, m + 2)), label="step")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        phi = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+        whole = _whole_grid_base(phi)
+        carry = None
+        for start in range(0, m, step):
+            rows = slice(start, min(start + step, m))
+            ts = geo.tensors(phi, rows, carry)
+            held = np.arange(rows.start - 2, rows.stop + 2)
+            assert ts.window == slice(2, 2 + rows.stop - rows.start)
+            assert ts.base.keys() == whole.keys()
+            for name, field in whole.items():
+                expected = np.take(field, held, axis=field.ndim - len(shape), mode="wrap")
+                assert np.array_equal(ts.base[name], expected), (start, name)
+            carry = ts.carry
+
+    def test_carry_of_another_slab_refused(self):
+        phi = geo.build_family(geo.smooth_recipe(), geo.ParamGrid((32, 32)))
+        carry = geo.tensors(phi, slice(0, 4)).carry
+        with pytest.raises(ValueError, match="does not start at row 4"):
+            geo.tensors(phi, slice(5, 9), carry)
+
+
+class TestRecipeRows:
+    @pytest.mark.parametrize("recipe", sorted(geo.NAMED_RECIPES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_recipe_rows_are_the_whole_spinor_rows(self, d, recipe):
+        # pure-gauge's a = Q^1 is not periodic in value: a row past either
+        # end must take the coordinate of its row mod m
+        m = 37
+        grid = geo.ParamGrid((m,) * d)
+        rec = geo.NAMED_RECIPES[recipe]()
+        whole = geo.build_family(rec, grid)
+        for rows in (np.arange(-6, 10), np.arange(m - 10, m + 6), np.arange(-6, m + 6),
+                     np.arange(12, 17)):
+            expected = np.take(whole, rows, axis=1, mode="wrap")
+            assert np.array_equal(geo.build_family(rec, grid, rows), expected), (rows[0], rows[-1])
+
+    def test_w_bound_names_the_maximum_on_the_rows(self):
+        grid = geo.ParamGrid((32, 32))
+        bad = geo.FamilyRecipe(w=lambda *Q: 1.2 * np.sin(Q[0]), phi=lambda *Q: 0.0, a=lambda *Q: 0.0)
+        with pytest.raises(ConfigError, match=r"\|w\| reaches 1.1087 > 0.999"):
+            geo.build_family(bad, grid, np.arange(3, 7))  # 1.2 sin(6 pi / 16)
+        assert geo.build_family(bad, grid, np.arange(-3, 4)).shape == (2, 7, 32)  # up to 0.667
 
 
 class TestNanResiduals:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -401,6 +403,19 @@ class TestCheckGrid:
     def test_nan_time_refused_as_nan(self, times):
         with pytest.raises(ConfigError, match="a time is NaN"):
             model.check_grid(ModelParams(), Grid1D(-4.0, 6.0, 1024), times)
+
+    def test_accepted_width_keeps_the_norm(self):
+        # 1.5 points across the narrowest width lost 3.6e-10 of the norm to
+        # sampling; the coarsest grid the width rule accepts keeps it inside
+        # NORM_TOL at every time around the narrowest width, t = pi / 2
+        params = ModelParams(eta=0.25, mass=1.0, gamma=1.0)
+        times = np.linspace(1.45, 1.7, 26)
+        with pytest.raises(ConfigError, match=r"gives 1.5 points across .*; need at least 1.57$"):
+            model.check_grid(params, Grid1D(-8.0, 10.0, 81), times)
+        coarsest = Grid1D(-8.0, 10.0, math.ceil(18.0 * 3.0 * model.MIN_POINTS_PER_WIDTH))
+        model.check_grid(params, coarsest, times)
+        for t in times:
+            assert abs(model.assemble_psi(t, coarsest, params).norm() - 1.0) <= ef.NORM_TOL / 2
 
     @pytest.mark.parametrize("n, t_end, accepted", [
         (768, 10.0, False),       # 0.96 points across the front at t = 10

@@ -14,9 +14,10 @@ identity_residuals works in one pass over slabs of about SLAB_POINTS grid
 points, whole axis-0 rows each: tensors(phi, rows, carry) builds a slab's
 spinor rows from the recipe, its first-derivative fields and its rank-3
 tensors, and takes over from the slab before it the rows of those fields
-that both hold (the carry).  Every row's first derivatives are taken once,
-no field of the grid is held whole, and every point keeps the bits of the
-whole-grid evaluation.
+that both hold (the carry).  A lead slab of zero rows builds the halo that
+wraps in below row 0, so every slab that holds rank-3 tensors starts from a
+carry.  Every row's first derivatives are taken once, no field of the grid
+is held whole, and every point keeps the bits of the whole-grid evaluation.
 
 Index convention for the Christoffel symbol of the first kind, chosen so
 that the imaginary rank-3 tensor is exactly its negative:
@@ -35,10 +36,16 @@ from .errors import ConfigError
 from .grid import _D1_COEFFS, central_difference
 
 _W_BOUND = 1.0 - 1e-3
-# grid points per slab, in whole axis-0 rows and at least one.  At 64^3 + 72^3
-# (2-vCPU Xeon) 4 rows' worth ran fastest of 2 to 8 in one process; 3 peaked
-# 8.7 % lower in 6 alternating benchmark pairs but ran no faster (3 of 6).
-SLAB_POINTS = 4 * 72 ** 2
+# grid points per slab, in whole axis-0 rows and at least one.  The largest
+# slab sets the tensor bench's peak memory.  perfbench tensors (64^3 + 72^3,
+# 2-vCPU Xeon), medians of 3 alternating rounds, with the lead slab:
+#   rows' worth at 72^3    2       3       4
+#   run_s                  1.68 s  1.60 s  1.48 s
+#   peak_rss_mb            57.6    61.8    67.7
+# Peak memory is the bench's defining cost, so 2 rows' worth: in 10
+# alternating pairs against 4 rows' worth with no lead slab it peaked 17 %
+# lower, at a run_s 2.7 % higher.
+SLAB_POINTS = 2 * 72 ** 2
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,9 @@ def tensors(phi, rows: slice = slice(None), carry: dict | None = None) -> Tensor
     """The TensorFieldSet of a spinor on a slice of axis-0 rows, by default
     every row; row indices wrap round the axis.  phi is the spinor from
     build_family, or a (recipe, grid) pair whose rows the slab builds with
-    build_family.
+    build_family.  An empty slice, slice(0, 0), is the lead slab: it holds no
+    rank-3 tensors, only the halo rows that wrap in below row 0, and its carry
+    starts the slab at row 0.
 
     The spinor is held on the slab's rows and three fd4 half-widths on either
     side, dphi and a on two, the covariant derivative
@@ -309,8 +318,8 @@ def tensors(phi, rows: slice = slice(None), carry: dict | None = None) -> Tensor
 
     window = slice(w, w + hi - lo)
     A, G, da = base["a"][:, window], G[:, :, window], da[:, :, window]
-    c = np.zeros((d, d, d) + A.shape[1:])
-    dten = np.zeros((d, d, d) + A.shape[1:])
+    c = np.empty((d, d, d) + A.shape[1:])
+    dten = np.empty((d, d, d) + A.shape[1:])
     for nu in range(d):
         for tau in range(d):
             H = [-1j * D(base["G"][tau][s], nu, window) - A[nu] * G[tau][s] for s in range(2)]
@@ -438,10 +447,12 @@ def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid) -> dict:
     largest of their peaks on each slab of SLAB_POINTS // (points per axis-0
     row) rows, at least one.  The slabs run in row order, each building its
     own rows of the spinor from the recipe and taking over the overlap that
-    the slab before it carries; no field of the grid is held whole."""
+    the slab before it carries; the lead slab of zero rows builds the rows
+    that wrap in below row 0 and carries them to the first.  No field of the
+    grid is held whole."""
     m = grid.shape[0]
     step = max(1, SLAB_POINTS // int(np.prod(grid.shape[1:])))
-    slabs, carry = [], None
+    slabs, carry = [], tensors((recipe, grid), slice(0, 0)).carry
     for start in range(0, m, step):
         peaks, carry = _slab_residuals((recipe, grid), slice(start, min(start + step, m)), carry)
         slabs.append(peaks)

@@ -35,6 +35,12 @@ METHOD = "fd12"
 # offsets, in units of delta_t, of the 5-point time stencil around a time t;
 # a rate reads the states at the four nonzero ones, in five_point's order
 STENCIL = (-2.0, -1.0, 0.0, 1.0, 2.0)
+# the smallest delta_t, in float spacings of the stencil's largest |t|: the
+# stencil times carry rounding errors of up to half a spacing, which the
+# five-point rate divides by delta_t.  In a sweep over t_end = 1, 10, 100 and
+# two n each, every run from 2^15 spacings up kept its relative residual
+# below rel_tol / 10 or at the floor its grid sets
+MIN_DELTA_T_SPACINGS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,9 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
 def check_settings(t_start: float, t_end: float, delta_t: float, rel_tol: float, mutation: str):
     """Refuse settings with which verify cannot reach a verdict: a delta_t or
     rel_tol that is not positive, a stencil that reaches model.MODEL_EDGE
-    below t_start, overflows above t_end or whose times round onto each
-    other, or an unknown mutation."""
+    below t_start, overflows above t_end, or whose times round onto each
+    other or lie so close that the rate is roundoff, or an unknown
+    mutation."""
     _check_stencil(t_start, t_end, delta_t)
     if not rel_tol > 0.0:
         raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
@@ -142,16 +149,18 @@ def check_settings(t_start: float, t_end: float, delta_t: float, rel_tol: float,
 def _check_stencil(t_start, t_end, delta_t):
     """Refuse a delta_t that is not positive, or whose stencil around
     [t_start, t_end] reaches model.MODEL_EDGE, overflows, or is not strictly
-    increasing: t + delta_t that rounds to t leaves the rate a 0/delta_t."""
+    increasing: t + delta_t that rounds to t leaves the rate a 0/delta_t.
+    Last, refuse a delta_t below MIN_DELTA_T_SPACINGS float spacings of the
+    stencil's largest |t|, where the rate is at roundoff."""
     if not delta_t > 0.0:
         raise ConfigError(f"delta_t must be positive, got {delta_t}")
-    if not t_start + STENCIL[0] * delta_t > model.MODEL_EDGE:
+    first, last = t_start + STENCIL[0] * delta_t, t_end + STENCIL[-1] * delta_t
+    if not first > model.MODEL_EDGE:
         raise ConfigError(
             f"delta_t = {delta_t} is too large: its stencil reaches t_start - 2 delta_t = "
-            f"{t_start + STENCIL[0] * delta_t:.6g} with t_start = {t_start}, at or below the "
-            "model's edge t = -1/3"
+            f"{first:.6g} with t_start = {t_start}, at or below the model's edge t = -1/3"
         )
-    if not math.isfinite(t_end + STENCIL[-1] * delta_t):
+    if not math.isfinite(last):
         raise ConfigError(f"delta_t = {delta_t} is too large: t_end + 2 delta_t overflows")
     # the times between lie in [t_start, t_end]: no float spacing there is
     # coarser than at an end
@@ -161,6 +170,13 @@ def _check_stencil(t_start, t_end, delta_t):
                 f"delta_t = {delta_t} is too small at t = {t:.6g}: the stencil times "
                 "t + k delta_t, k = -2..2, round onto each other"
             )
+    t = max(abs(first), abs(last))
+    floor = MIN_DELTA_T_SPACINGS * float(np.spacing(t))
+    if not delta_t >= floor:
+        raise ConfigError(
+            f"delta_t = {delta_t} is too small at t = {t:.6g}: the rate needs at least "
+            f"{MIN_DELTA_T_SPACINGS} float spacings of t, {floor:.3g}, or it is roundoff"
+        )
 
 
 def _check_mutation(mutation):

@@ -343,6 +343,11 @@ BAD_INPUTS = {
     "delta_t_below_time_spacing": lambda p: [
         "verify-identity", "--delta-t", "1e-300", "--t-end", "1", "--samples", "3", "--n", "1024"
     ],
+    # the stencil times are distinct, but the rate differences energies at
+    # their roundoff: it FAILed at relative residual 1.369
+    "delta_t_at_roundoff": lambda p: [
+        "verify-identity", "--delta-t", "2e-16", "--t-end", "1", "--samples", "3", "--n", "1024"
+    ],
     "negative_tensor_tol": lambda p: [
         "verify-tensors", "--tol=-1", "--dimension", "1", "--sizes", "32,40"
     ],

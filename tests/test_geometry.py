@@ -282,7 +282,7 @@ class TestStreamedBench:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_slabs_give_the_whole_grid_residuals(self, d, recipe):
         # 37 rows: one slab at d = 1 and 2; at d = 3 slabs of
-        # SLAB_POINTS // 37^2 = 15 rows, the last one 7 rows short
+        # SLAB_POINTS // 37^2 = 7 rows, the last one of 2
         m = 37
         rows = geo.SLAB_POINTS // m ** (d - 1)
         assert (rows >= m) if d < 3 else (m % rows)
@@ -308,10 +308,11 @@ class TestStreamedBench:
         assert peak <= 150 * 8 * m ** 3
 
     def test_peak_memory_of_slabbed_grid(self):
-        # build_family peaks at 15 real fields at d = 3; each slab of 12 rows
-        # then holds its first-derivative fields with their halo rows and its
-        # rows' share of the rank-3 tensors and derivative tables: the peak
-        # is about 57.1
+        # real fields of the grid at d = 3: the lead slab builds the rows that
+        # wrap in below row 0 with no rank-3 tensors beside them, so every
+        # slab of 6 rows holds the rows carried from the slab before, its
+        # own first-derivative fields and its rows' share of the rank-3
+        # tensors and derivative tables: the peak is about 28.4
         m = 40
         tracemalloc.start()
         try:
@@ -319,7 +320,7 @@ class TestStreamedBench:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 60 * 8 * m ** 3
+        assert peak <= 31 * 8 * m ** 3
 
     @pytest.mark.parametrize("shape, fields", [((32,) * 3, 96), ((32, 32), 38)])
     def test_each_derivative_taken_once(self, shape, fields, monkeypatch):
@@ -327,11 +328,12 @@ class TestStreamedBench:
         # spinor (2d), connection gradient (d^2), H (2d^2), the raw second
         # derivatives (2d^2) and the symmetric tables of the metric and of
         # g + A A (d^2 (d + 1) / 2 each), plus the curvature derivatives of
-        # the exchange identity (d^2 (d - 1) / 2); and once per grid, since
-        # each slab takes over the halo rows it shares with the slab before
-        # it, the halo rows wrapped round axis 0: the spinor's 2d derivatives
-        # on 2 x 4 rows and the d^2 of the connection on 2 x 2, (16 d + 4 d^2)
-        # rows' worth.  32^3 runs in slabs of 20 and 12 rows, 32^2 in one
+        # the exchange identity (d^2 (d - 1) / 2); and once per grid, in the
+        # lead slab of zero rows, since each slab takes over the halo rows it
+        # shares with the slab before it, the halo rows wrapped round axis 0:
+        # the spinor's 2d derivatives on 2 x 4 rows and the d^2 of the
+        # connection on 2 x 2, (16 d + 4 d^2) rows' worth.  32^3 runs in slabs
+        # of 10 rows and a last one of 2, 32^2 in one
         clean = geo.ParamGrid.diff
         points = []
 
@@ -399,7 +401,9 @@ class TestSlabBase:
     @given(data=st.data())
     def test_chain_of_slabs_is_the_whole_grid_base_on_every_slab(self, data):
         # slabs in row order, each taking over the carry of the one before:
-        # steps that leave a short last slab, and steps of m or more (one slab)
+        # steps that leave a short last slab, and steps of m or more (one slab);
+        # the first slab builds its wrapped rows itself or takes them over
+        # from the lead slab of zero rows
         shape = data.draw(st.lists(st.integers(32, 40), min_size=1, max_size=3), label="shape")
         m = shape[0]
         step = data.draw(st.one_of(st.integers(1, m - 1).filter(lambda k: m % k),
@@ -407,7 +411,7 @@ class TestSlabBase:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         phi = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
         whole = _whole_grid_base(phi)
-        carry = None
+        carry = geo.tensors(phi, slice(0, 0)).carry if data.draw(st.booleans(), label="lead") else None
         for start in range(0, m, step):
             rows = slice(start, min(start + step, m))
             ts = geo.tensors(phi, rows, carry)
@@ -418,6 +422,26 @@ class TestSlabBase:
                 expected = np.take(field, held, axis=field.ndim - len(shape), mode="wrap")
                 assert np.array_equal(ts.base[name], expected), (start, name)
             carry = ts.carry
+
+    @pytest.mark.parametrize("rows", [slice(0, 5), slice(0, 33)])
+    @pytest.mark.parametrize("recipe", sorted(geo.NAMED_RECIPES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slab_after_lead_slab_is_the_slab_without_carry(self, d, recipe, rows):
+        # the lead slab of zero rows holds no rank-3 tensors; the slab that
+        # takes over its carry holds every field, and carries on, with the
+        # bits of the same slab built with no carry
+        phi = (geo.NAMED_RECIPES[recipe](), geo.ParamGrid((33,) * d))
+        lead = geo.tensors(phi, slice(0, 0))
+        assert lead.c.shape == (d,) * 3 + (0,) + (33,) * (d - 1)
+        got, expected = geo.tensors(phi, rows, lead.carry), geo.tensors(phi, rows)
+        assert got.window == expected.window
+        for name in ("a", "b", "g", "c", "d", "dphi", "da"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        for part in ("base", "carry"):
+            one, other = getattr(got, part), getattr(expected, part)
+            assert one.keys() == other.keys()
+            for name in one:
+                assert np.array_equal(one[name], other[name]), (part, name)
 
     def test_carry_of_another_slab_refused(self):
         phi = geo.build_family(geo.smooth_recipe(), geo.ParamGrid((32, 32)))

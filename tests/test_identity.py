@@ -1,5 +1,6 @@
 import json
 import math
+import types
 import warnings
 from unittest import mock
 
@@ -262,6 +263,28 @@ class TestVerify:
     def test_unusable_settings_rejected(self, params, grid4096, bad):
         with pytest.raises(ConfigError):
             identity.verify(params, grid4096, **bad)
+
+    @pytest.mark.parametrize("t_end", [1.0, 10.0, 100.0])
+    def test_delta_t_floor_is_a_number_of_spacings_of_the_largest_time(self, t_end):
+        # the largest stencil time, t_end + 2 delta_t, has the spacing of t_end
+        floor = identity.MIN_DELTA_T_SPACINGS * float(np.spacing(t_end))
+        identity.check_settings(0.0, t_end, floor, 1e-3, None)
+        below = float(np.nextafter(floor, 0.0))
+        with pytest.raises(ConfigError, match=rf"delta_t = {below!r} is too small at t = "
+                                              rf"{t_end:.6g}: .* {floor:.3g}, or it is roundoff"):
+            identity.check_settings(0.0, t_end, below, 1e-3, None)
+
+    def test_default_delta_t_accepted_wherever_the_default_model_is(self, params):
+        # the default delta_t is refused first at t_end just below 2^24, where
+        # the front rule on the default domain needs more than 2^29 points
+        identity.check_settings(0.0, 2.0 ** 24 - 1.0, 1e-4, 1e-3, None)
+        t_end = 2.0 ** 24 - 1e-4
+        with pytest.raises(ConfigError, match="too small"):
+            identity.check_settings(0.0, t_end, 1e-4, 1e-3, None)
+        n = 2 ** 29
+        grid = types.SimpleNamespace(x_min=-4.0, x_max=6.0, n=n, dx=10.0 / n)
+        with pytest.raises(ConfigError, match="points across the front"):
+            model.check_grid(params, grid, [t_end])
 
     def test_domain_missing_the_packet_refused_before_any_state(self, params, monkeypatch):
         built = []

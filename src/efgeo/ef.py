@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .grid import _D1_COEFFS, Grid1D, central_difference
+from .grid import _D1_COEFFS, Grid1D, central_difference, check_method
 
 DEFAULT_FLOOR_RATIO = 1e-13
 NORM_TOL = 1e-10  # largest |norm - 1| a TwoComponentWavefunction accepts
@@ -171,7 +171,9 @@ def decompose(psi: TwoComponentWavefunction, inertia: float = None,
 
     The density floor is DEFAULT_FLOOR_RATIO of the density maximum; the
     derivative fields span the window only.  inertia scales the energies.
+    Raises ConfigError for a method that grid.METHODS does not name.
     """
+    check_method(method)
     grid, n = psi.grid, psi.grid.n
     chi2 = psi.density
     # positive: TwoComponentWavefunction refuses a state whose norm is off 1

@@ -27,6 +27,7 @@ references permute these indices differently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,7 +61,10 @@ class ParamGrid:
     shape: tuple
 
     def __post_init__(self):
-        shape = tuple(int(m) for m in self.shape)
+        try:  # operator.index refuses a float size rather than truncate it
+            shape = tuple(operator.index(m) for m in self.shape)
+        except TypeError:
+            raise ConfigError(f"shape {self.shape!r} is not a tuple of integer sizes") from None
         object.__setattr__(self, "shape", shape)
         if not 1 <= len(shape) <= 3:
             raise ConfigError(f"dimension {len(shape)} not in 1..3")

@@ -21,6 +21,14 @@ _D1_COEFFS = {
     "fd4": ((8.0, -1.0), 12.0),
     "fd12": ((6 / 7, -15 / 56, 5 / 63, -1 / 56, 1 / 385, -1 / 5544), 1.0),
 }
+# first-derivative methods of Grid1D.derivative
+METHODS = ("spectral", *_D1_COEFFS)
+
+
+def check_method(method, known=METHODS):
+    """Refuse a method that is not one of `known`, naming both."""
+    if method not in known:
+        raise ConfigError(f"unknown method {method!r}; known methods: {', '.join(known)}")
 
 
 def central_difference(f, coeffs, h, axis=-1, window=slice(None)):

@@ -20,6 +20,7 @@ every value they read has the bits of the whole-grid build.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +128,10 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
     The model starts at t = 0: its front terms 1 + t and 1 + 3t vanish at
     t = -1 and t = model.MODEL_EDGE = -1/3.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ConfigError(f"samples = {samples!r} is not an integer") from None
     if not t_start >= 0.0:
         raise ConfigError(f"t_start = {t_start} is negative; the model starts at t = 0")
     if samples < 2 or not t_end > t_start:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ef import DEFAULT_FLOOR_RATIO, EXTENSION_RATIO, NORM_TOL, TwoComponentWavefunction
 from .errors import ConfigError
-from .grid import _D1_COEFFS, Grid1D
+from .grid import _D1_COEFFS, Grid1D, check_method
 
 _CLIP = 700.0  # exp argument guard
 # fewest grid points across the narrowest packet width 1/(3 sqrt(mass)).  By
@@ -207,8 +207,10 @@ def packet_extent(t, grid: Grid1D, params: ModelParams, method: str) -> slice:
     slice would leave [0, n), the extent is the whole grid, as the window
     is in ef._window: a window over the whole periodic grid reads every
     point.  A rule on how far the packet keeps from the domain's edges
-    reads its level here.
+    reads its level here.  Raises ConfigError for a method other than
+    fd4 and fd12.
     """
+    check_method(method, tuple(_D1_COEFFS))
     reach = math.sqrt(-math.log(DEFAULT_FLOOR_RATIO * EXTENSION_RATIO)) * float(width(t, params))
     centre = float(mean_position(t, params))
     halo = 3 * len(_D1_COEFFS[method][0]) + 1
@@ -241,6 +243,9 @@ class _Fields:
     """
 
     def __init__(self, t: float, grid: Grid1D, params: ModelParams, window: slice = slice(None)):
+        if not t > MODEL_EDGE:  # one scalar test: a Strang step makes one call
+            raise ConfigError("t is NaN" if math.isnan(t) else
+                              f"t = {t:.6g} is at or before the model's edge t = -1/3")
         eta, gamma = params.eta, params.gamma
         self.x = x = grid.x
         self.t = float(t)
@@ -367,7 +372,8 @@ class _Fields:
 
 def hamiltonian_entries(t, grid: Grid1D, params: ModelParams) -> HamiltonianFields:
     """Reverse-engineered potential entries h0, h1, h3 at time t, from the
-    closed-form rates of the Bloch fields."""
+    closed-form rates of the Bloch fields.  Raises ConfigError for t at or
+    before MODEL_EDGE."""
     f = _Fields(t, grid, params)
     sin_th = np.sqrt(1.0 - f.w ** 2)
     sin_phi = np.sin(f.phi)
@@ -417,7 +423,8 @@ def assemble_psi(t, grid: Grid1D, params: ModelParams,
     antiderivative is global.  chi_abs, the two half-angle roots, the two
     phases and their products are taken on window alone; each is
     elementwise, so every point of window gets the bits of the whole-grid
-    build.  identity builds its states on packet_extent.
+    build.  identity builds its states on packet_extent.  Raises
+    ConfigError for t at or before MODEL_EDGE.
     """
     f = _Fields(t, grid, params, window)
     w, alpha, phi = f.w[window], f.alpha, f.phi[window]

@@ -74,6 +74,11 @@ class TestWavefunctionType:
 
 
 class TestDecompose:
+    def test_unknown_method_refused(self, grid1024):
+        with pytest.raises(ConfigError, match="^unknown method 'fd99'; known methods: "
+                                              "spectral, fd4, fd12$"):
+            ef.decompose(gaussian_state(grid1024), method="fd99")
+
     def test_single_surface_real_state(self, grid1024):
         dec = ef.decompose(gaussian_state(grid1024))
         m = dec.mask

@@ -28,6 +28,12 @@ class TestParamGrid:
         with pytest.raises(ConfigError):
             geo.ParamGrid((8, 8))
 
+    @pytest.mark.parametrize("shape", [(32.7, 40), (32.0, 40), 32])
+    def test_non_integer_sizes_refused(self, shape):
+        # a float size would otherwise be truncated
+        with pytest.raises(ConfigError, match=r"^shape .* is not a tuple of integer sizes$"):
+            geo.ParamGrid(shape)
+
     def test_dimension_bound(self):
         with pytest.raises(ConfigError):
             geo.ParamGrid((32, 32, 32, 32))

@@ -256,6 +256,10 @@ class TestVerify:
         with pytest.raises(ConfigError):
             identity.verify(params, grid4096, 1.0, 1.0, samples=1)
 
+    def test_fractional_samples_refused(self, params, grid4096):
+        with pytest.raises(ConfigError, match=r"^samples = 2.5 is not an integer$"):
+            identity.verify(params, grid4096, samples=2.5)
+
     # delta_t = 0.2: the stencil around t_start = 0 reaches t = -0.4, past the
     # model's edge at -1/3
     @pytest.mark.parametrize("bad", [{"delta_t": 0.0}, {"rel_tol": 0.0},

@@ -369,6 +369,11 @@ class TestPacketExtent:
         halo = len(_D1_COEFFS["fd12"][0])
         assert extent.start <= window.start - halo and window.stop + halo <= extent.stop
 
+    @pytest.mark.parametrize("method", ["fd99", "spectral"])
+    def test_unknown_method_refused(self, params, grid1024, method):
+        with pytest.raises(ConfigError, match=f"^unknown method '{method}'; known methods: fd4, fd12$"):
+            model.packet_extent(0.0, grid1024, params, method)
+
 
 class TestContinuity:
     @pytest.mark.parametrize("t", [0.0, 1.0, 3.7])
@@ -430,3 +435,31 @@ class TestCheckGrid:
         else:
             with pytest.raises(ConfigError, match=r"gamma = 40 with n = 768 gives 0.96 points"):
                 check()
+
+    def test_steepness_bound_is_sharp(self):
+        # at t = 0 gamma = 1e151 passes the steepness clause, and the front
+        # rule after it refuses the grid; the next float is too steep
+        grid = Grid1D(-4.0, 6.0, 1024)
+        with pytest.raises(ConfigError, match="points across the front"):
+            model.check_grid(ModelParams(gamma=1e151), grid, [0.0])
+        with pytest.raises(ConfigError, match=r"gamma = 1e\+151 is too steep"):
+            model.check_grid(ModelParams(gamma=np.nextafter(1e151, np.inf)), grid, [0.0])
+
+
+class TestModelEdge:
+    # the front term 1 + 3t vanishes at MODEL_EDGE: no field is built there
+    @pytest.mark.parametrize("build", [model.hamiltonian_entries, model.assemble_psi])
+    @pytest.mark.parametrize("t", [-1.0, -0.5, model.MODEL_EDGE])
+    def test_time_at_or_before_the_edge_refused(self, params, grid1024, build, t):
+        with pytest.raises(ConfigError, match=r"^t = -[0-9.]+ is at or before the model's "
+                                              r"edge t = -1/3$"):
+            build(t, grid1024, params)
+
+    @pytest.mark.parametrize("build", [model.hamiltonian_entries, model.assemble_psi])
+    def test_nan_time_refused_as_nan(self, params, grid1024, build):
+        with pytest.raises(ConfigError, match="^t is NaN$"):
+            build(float("nan"), grid1024, params)
+
+    def test_first_time_past_the_edge_builds(self, params, grid4096):
+        psi = model.assemble_psi(np.nextafter(model.MODEL_EDGE, 0.0), grid4096, params)
+        assert abs(psi.norm() - 1.0) <= ef.NORM_TOL

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +40,23 @@ class TestConfig:
     def test_accuracy_guard(self):
         with pytest.raises(VerificationFailure, match="exceeds the guard"):
             propagator.PropagatorConfig(dt=1.0, t_end=1.0)
+
+    def test_accuracy_guard_is_sharp(self):
+        assert propagator.PropagatorConfig(dt=1e-3, t_end=1e-3).steps == 1
+        past = np.nextafter(1e-3, np.inf)
+        with pytest.raises(VerificationFailure, match="exceeds the guard"):
+            propagator.PropagatorConfig(dt=past, t_end=past)
+
+    # 100 steps of dt = 1e-3 end at 0.1; each pair of neighbouring floats
+    # straddles a relative miss of 1e-9 (9.99999943e-10 and 1.00000008e-09 above,
+    # 9.99999945e-10 and 1.00000008e-09 below)
+    @pytest.mark.parametrize("accepted, refused", [(0.1000000001, 0.10000000010000001),
+                                                   (0.09999999990000001, 0.0999999999)])
+    def test_horizon_tolerance_is_sharp(self, accepted, refused):
+        assert np.nextafter(accepted, refused) == refused
+        assert propagator.PropagatorConfig(dt=1e-3, t_end=accepted).steps == 100
+        with pytest.raises(ConfigError, match="is not a whole number of steps"):
+            propagator.PropagatorConfig(dt=1e-3, t_end=refused)
 
 
 class TestPotentialFactor:
@@ -125,10 +141,10 @@ def _old_potential_half(psi1, psi2, h0, h1, h3, tau):
     return new1, new2
 
 
-def _old_step_arrays(psi1, psi2, t, dt, h_provider, kin_phase):
+def _old_step_arrays(psi1, psi2, t, dt, h_provider, kin_phase, work):
     h = h_provider(t + 0.5 * dt)
     psi1, psi2 = _old_potential_half(psi1, psi2, *h, 0.5 * dt)
-    psi1, psi2 = propagator._kinetic_full(psi1, psi2, kin_phase)
+    psi1, psi2 = propagator._kinetic_full(psi1, psi2, kin_phase, work)
     return _old_potential_half(psi1, psi2, *h, 0.5 * dt)
 
 
@@ -136,38 +152,60 @@ def test_step_keeps_the_bits_of_two_full_half_steps(params, grid1024):
     dt = 1e-3
     provider = lambda t: model.hamiltonian_entries(t, grid1024, params)
     kin_phase = propagator._kinetic_phase(grid1024, dt, params.inertia)
+    work = np.empty((2, grid1024.n), np.clongdouble)
     state = model.assemble_psi(0.0, grid1024, params)
     new = old = (state.psi1, state.psi2)
     for step in range(5):
-        new = propagator._step_arrays(*new, step * dt, dt, provider, kin_phase)
-        old = _old_step_arrays(*old, step * dt, dt, provider, kin_phase)
+        new = propagator._step_arrays(*new, step * dt, dt, provider, kin_phase, work)
+        old = _old_step_arrays(*old, step * dt, dt, provider, kin_phase, work)
         assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 
 
-class TestScipyOnFirstUse:
-    def test_cli_import_leaves_scipy_fft_unloaded(self):
+class TestKineticStepOnNumpy:
+    def test_propagate_leaves_scipy_unloaded(self):
         src = str(Path(propagator.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        code = "import sys, efgeo.cli; sys.exit(3 if 'scipy.fft' in sys.modules else 0)"
+        code = ("import sys\n"
+                "from efgeo import model, propagator\n"
+                "from efgeo.grid import Grid1D\n"
+                "cfg = propagator.PropagatorConfig(dt=1e-3, t_end=1e-3)\n"
+                "res = propagator.propagate(model.ModelParams(), Grid1D(-4.0, 6.0, 1024), cfg, n_samples=2)\n"
+                "assert res.steps == 1\n"
+                "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)\n")
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
-    def test_extended_step_calls_scipy_fft_by_module_attribute(self, params, grid1024,
-                                                               monkeypatch):
-        # the benchmark tracer counts FFTs by patching these attributes
+    def test_round_trip_computes_in_long_double(self, grid1024):
+        # with a unit phase the buffer holds the round trip before it is
+        # rounded back to double: a long-double transform misses the input
+        # by about 1e-18, a double one (numpy < 2) by about 1e-15
+        rng = np.random.default_rng(3)
+        psi1, psi2 = rng.normal(size=(2, grid1024.n)) + 1j * rng.normal(size=(2, grid1024.n))
+        work = np.empty((2, grid1024.n), np.clongdouble)
+        propagator._kinetic_full(psi1, psi2, np.ones(grid1024.n, np.clongdouble), work)
+        assert work.dtype == np.clongdouble
+        assert np.max(np.abs(work - np.stack([psi1, psi2]))) <= 1e-17
+
+    def test_step_makes_one_long_double_fft_and_ifft_by_module_attribute(self, params, grid1024,
+                                                                         monkeypatch):
+        # the benchmark tracer counts FFTs by patching these attributes; the
+        # double-precision FFTs of the model's spectral antiderivative are
+        # left out of the count
         calls = []
         for name in ("fft", "ifft"):
-            original = getattr(scipy.fft, name)
+            original = getattr(np.fft, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                if np.asarray(a).dtype == np.clongdouble:
+                    calls.append(_name)
+                return _original(a, *args, **kwargs)
 
-            monkeypatch.setattr(scipy.fft, name, counted)
+            monkeypatch.setattr(np.fft, name, counted)
         cfg = propagator.PropagatorConfig(dt=1e-4, t_end=1e-4)
         propagator.propagate(params, grid1024, cfg, n_samples=2)
-        assert sorted(calls) == ["fft", "fft", "ifft", "ifft"]
+        assert calls == ["fft", "ifft"]
 
 
 class TestFreeParticle:

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, VerificationFailure
 from .grid import _D1_COEFFS, central_difference
 
 _W_BOUND = 1.0 - 1e-3
@@ -463,24 +463,90 @@ def identity_residuals(recipe: FamilyRecipe, grid: ParamGrid) -> dict:
     return {name: _report(slab[name] for slab in slabs) for name in IDENTITY_NAMES}
 
 
+# a residual at or below FIT_FLOOR is roundoff or zero: no order is fitted
+FIT_FLOOR = 1e-14
+# verify judges no order while the coarsest residual is at or below
+# ORDER_FLOOR: that is stencil roundoff, which grows under refinement
+# (pure-gauge fits order -1.7 at 64, 128, 256)
+ORDER_FLOOR = 1e-12
+
+
+def check_sizes(sizes) -> list:
+    """The sizes of a convergence study as a list, refused unless at least
+    two, distinct and increasing: the order is a fit over them, and verify
+    holds tol against the first and reports the last as the finest."""
+    sizes = list(sizes)
+    shown = ",".join(map(str, sizes))
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ConfigError(f"sizes must be at least two distinct grid sizes, got {shown!r}")
+    if sizes != sorted(sizes):
+        raise ConfigError(f"sizes must increase, got {shown!r}")
+    return sizes
+
+
 def convergence_study(recipe: FamilyRecipe, sizes, d: int) -> dict:
     """Identity residuals across grid refinements with fitted orders.
 
     Returns {identity: {"sizes": [...], "max_abs": [...], "order": slope}}.
     The order is the least-squares slope of log(residual) against log(1/n)
-    and is reported as nan when the residuals sit at the roundoff floor.
+    and is reported as nan when a residual is at or below FIT_FLOOR.  Raises
+    ConfigError for sizes that check_sizes refuses or a d not an integer.
     """
-    results = {name: [] for name in IDENTITY_NAMES}
-    for m in sizes:
-        res = identity_residuals(recipe, ParamGrid(shape=(m,) * d))
-        for name in IDENTITY_NAMES:
-            results[name].append(res[name])
+    sizes = check_sizes(sizes)
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ConfigError(f"d = {d!r} is not an integer") from None
+    per_size = [identity_residuals(recipe, ParamGrid(shape=(m,) * d)) for m in sizes]
+    log_inv_n = np.log(1.0 / np.asarray(sizes, dtype=float))
     out = {}
-    for name, vals in results.items():
-        vals_arr = np.asarray(vals)
-        if np.all(vals_arr > 1e-14):
-            slope = float(np.polyfit(np.log(1.0 / np.asarray(sizes, dtype=float)), np.log(vals_arr), 1)[0])
-        else:
-            slope = float("nan")
-        out[name] = {"sizes": list(sizes), "max_abs": vals, "order": slope}
+    for name in IDENTITY_NAMES:
+        vals = [res[name] for res in per_size]
+        slope = np.polyfit(log_inv_n, np.log(vals), 1)[0] if np.min(vals) > FIT_FLOOR else np.nan
+        out[name] = {"sizes": list(sizes), "max_abs": vals, "order": float(slope)}
     return out
+
+
+@dataclass(frozen=True)
+class TensorReport:
+    """verify's entries by recipe and identity: a convergence_study entry
+    with its finest residual and its verdict."""
+
+    recipes: dict
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {"recipes": self.recipes, "passed": self.passed}
+
+
+def verify(recipes, sizes, d: int, tol: float, slope_min: float) -> TensorReport:
+    """Judge each named recipe's convergence_study, identity by identity:
+    the coarsest residual must be at most tol and, above ORDER_FLOOR, the
+    order at least slope_min.  Raises ConfigError, before any grid, for a
+    tol not positive, a tol or slope_min not finite, sizes that check_sizes
+    refuses, and no, repeated or unknown recipes; and VerificationFailure,
+    carrying the report, once every recipe is studied, if an identity fails.
+    """
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    for key, value in (("tol", tol), ("slope_min", slope_min)):
+        if not abs(value) < np.inf:
+            raise ConfigError(f"{key} must be finite, got {value}")
+    sizes = check_sizes(sizes)
+    if not recipes or len(set(recipes)) < len(recipes):  # an entry is keyed by its name
+        raise ConfigError(f"need at least one recipe, each named once, got {','.join(recipes)!r}")
+    for name in recipes:
+        if name not in NAMED_RECIPES:
+            raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(NAMED_RECIPES)}")
+    entries = {name: {} for name in recipes}
+    for name, entry in entries.items():
+        for ident, rec in convergence_study(NAMED_RECIPES[name](), sizes, d).items():
+            base = rec["max_abs"][0]
+            judged = base > ORDER_FLOOR and not np.isnan(rec["order"])
+            ok = base <= tol and (not judged or rec["order"] >= slope_min)
+            entry[ident] = {**rec, "finest": rec["max_abs"][-1], "passed": ok}
+    report = TensorReport(entries, all(e["passed"] for v in entries.values() for e in v.values()))
+    if not report.passed:
+        raise VerificationFailure(f"a tensor identity fails tol {tol} or slope_min {slope_min}",
+                                  report=report)
+    return report

@@ -312,6 +312,8 @@ def pointwise_check(params, grid: Grid1D, t: float, delta_t: float = 1e-5) -> Po
     the single time t, on the window of its decomposition.  Reported over the
     intersection of the masks used.
     """
+    if not -math.inf < t < math.inf:  # before the stencil, which a NaN t would blame
+        raise ConfigError(f"t = {t} is not finite")
     _check_stencil(t, t, delta_t)
     times = t + delta_t * np.array(STENCIL)
     model.check_grid(params, grid, times)

@@ -243,9 +243,9 @@ class _Fields:
     """
 
     def __init__(self, t: float, grid: Grid1D, params: ModelParams, window: slice = slice(None)):
-        if not t > MODEL_EDGE:  # one scalar test: a Strang step makes one call
-            raise ConfigError("t is NaN" if math.isnan(t) else
-                              f"t = {t:.6g} is at or before the model's edge t = -1/3")
+        if not MODEL_EDGE < t < math.inf:  # one chained test: a Strang step makes one call
+            raise ConfigError("t is NaN" if math.isnan(t) else f"t = {t} is not finite" if t > 0
+                              else f"t = {t:.6g} is at or before the model's edge t = -1/3")
         eta, gamma = params.eta, params.gamma
         self.x = x = grid.x
         self.t = float(t)
@@ -373,7 +373,7 @@ class _Fields:
 def hamiltonian_entries(t, grid: Grid1D, params: ModelParams) -> HamiltonianFields:
     """Reverse-engineered potential entries h0, h1, h3 at time t, from the
     closed-form rates of the Bloch fields.  Raises ConfigError for t at or
-    before MODEL_EDGE."""
+    before MODEL_EDGE or not finite."""
     f = _Fields(t, grid, params)
     sin_th = np.sqrt(1.0 - f.w ** 2)
     sin_phi = np.sin(f.phi)
@@ -424,7 +424,7 @@ def assemble_psi(t, grid: Grid1D, params: ModelParams,
     phases and their products are taken on window alone; each is
     elementwise, so every point of window gets the bits of the whole-grid
     build.  identity builds its states on packet_extent.  Raises
-    ConfigError for t at or before MODEL_EDGE.
+    ConfigError for t at or before MODEL_EDGE or not finite.
     """
     f = _Fields(t, grid, params, window)
     w, alpha, phi = f.w[window], f.alpha, f.phi[window]

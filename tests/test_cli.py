@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from efgeo import cli, geometry, identity, model, propagator
 from efgeo.cli import main
+from efgeo.errors import ConfigError
 from efgeo.grid import central_difference
 
 
@@ -391,6 +392,9 @@ BAD_INPUTS = {
         "verify-tensors", "--recipes", "smooth,smooth", "--dimension", "1", "--sizes", "32,40"
     ],
     "single_size": lambda p: ["verify-tensors", "--sizes", "64"],
+    "zero_tensor_tol": lambda p: ["verify-tensors", "--tol", "0"],
+    "no_recipes": lambda p: ["verify-tensors", "--recipes", ""],
+    "unknown_recipe": lambda p: ["verify-tensors", "--recipes", "mystery"],
     "zero_dimension": lambda p: ["verify-tensors", "--dimension", "0"],
     # the model's front terms vanish at t = -1 and t = -1/3
     "negative_figure_start": lambda p: ["emit-figure", "--t-start", "-1"],
@@ -413,6 +417,40 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
     assert not out.exists() or not any(out.iterdir())
+
+
+_DEFAULT_RECIPES = ["smooth", "pure-gauge"]
+# each refusal of verify-tensors as geometry.verify arguments (recipes,
+# sizes, d, tol) and its line; a case of BAD_INPUTS by the same name prints
+# it.  The command line refuses a NaN tol as a config value first.
+_TENSOR_REFUSALS = {
+    "negative_tensor_tol": (_DEFAULT_RECIPES, [32, 40], 1, -1.0, "tol must be positive, got -1.0"),
+    "zero_tensor_tol": (_DEFAULT_RECIPES, [64, 128, 256], 2, 0.0, "tol must be positive, got 0.0"),
+    "nan_tensor_tol": (_DEFAULT_RECIPES, [64, 128, 256], 2, float("nan"),
+                       "tol must be positive, got nan"),
+    "single_size": (_DEFAULT_RECIPES, [64], 2, 1e-6,
+                    "sizes must be at least two distinct grid sizes, got '64'"),
+    "repeated_sizes": (_DEFAULT_RECIPES, [32, 32], 2, 1e-6,
+                       "sizes must be at least two distinct grid sizes, got '32,32'"),
+    "descending_tensor_sizes": (["smooth"], [64, 40], 1, 1e-6, "sizes must increase, got '64,40'"),
+    "no_recipes": ([], [64, 128, 256], 2, 1e-6, "need at least one recipe, each named once, got ''"),
+    "repeated_recipes": (["smooth", "smooth"], [32, 40], 1, 1e-6,
+                         "need at least one recipe, each named once, got 'smooth,smooth'"),
+    "unknown_recipe": (["mystery"], [64, 128, 256], 2, 1e-6,
+                       "unknown recipe 'mystery'; choose from ['constant', 'pure-gauge', 'smooth']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TENSOR_REFUSALS))
+def test_tensor_refusal_is_the_library_refusal(case, tmp_path, capsys, monkeypatch):
+    *args, line = _TENSOR_REFUSALS[case]
+    monkeypatch.setattr(geometry, "identity_residuals", lambda *a: pytest.fail("grid built"))
+    with pytest.raises(ConfigError) as refusal:
+        geometry.verify(*args, slope_min=3.5)
+    assert str(refusal.value) == line
+    if case in BAD_INPUTS:
+        assert run(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {line}\n"
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from efgeo import ef, geometry as geo
-from efgeo.errors import ConfigError
+from efgeo.errors import ConfigError, VerificationFailure
 from efgeo.grid import Grid1D
 
 
@@ -541,3 +541,109 @@ class TestEmbeddingAgainstEF:
         assert np.max(np.abs(dec.metric - ts.g[0, 0])) <= 1e-10
         assert np.max(np.abs(dec.c_tensor - ts.c[0, 0, 0])) <= 1e-10
         assert np.max(np.abs(dec.d_tensor - ts.d[0, 0, 0])) <= 1e-10
+
+
+# d = 2, sizes 64,72: the smooth recipe's coarsest residuals reach 7.84e-7,
+# below tol, and its smallest fitted order is 3.947 (c_raw_expansion)
+_QUICK = dict(sizes=[64, 72], d=2, tol=1e-6)
+
+
+class TestVerify:
+    def test_order_clause_fails_a_run_within_tol(self):
+        entries = geo.verify(["smooth"], slope_min=3.5, **_QUICK).recipes["smooth"]
+        slowest = min(e["order"] for e in entries.values())
+        assert 3.9 < slowest < 3.95
+        with pytest.raises(VerificationFailure) as failure:
+            geo.verify(["smooth"], slope_min=3.95, **_QUICK)
+        failed = failure.value.report
+        assert not failed.passed
+        assert all(e["max_abs"][0] <= _QUICK["tol"] for e in failed.recipes["smooth"].values())
+        assert {i for i, e in failed.recipes["smooth"].items() if not e["passed"]} == {
+            i for i, e in entries.items() if e["order"] < 3.95}
+        # the clause is order >= slope_min: the smallest order itself passes
+        assert geo.verify(["smooth"], slope_min=slowest, **_QUICK).passed
+
+    @pytest.mark.parametrize("slope_min", [3.5, 3.95, 1e300])
+    def test_pure_gauge_orders_are_not_judged(self, slope_min):
+        # every residual is roundoff: its order is NaN, or fitted through
+        # residuals below ORDER_FLOOR, where the order clause is not read
+        report = geo.verify(["pure-gauge"], slope_min=slope_min, **_QUICK)
+        assert report.passed
+        for e in report.recipes["pure-gauge"].values():
+            assert np.isnan(e["order"]) or e["max_abs"][0] <= geo.ORDER_FLOOR
+
+    def test_order_not_judged_when_no_order_was_fitted(self, monkeypatch):
+        # a finer residual at FIT_FLOOR leaves a NaN order above ORDER_FLOOR
+        study = {name: {"sizes": [32, 40], "max_abs": [1e-7, 1e-15], "order": float("nan")}
+                 for name in geo.IDENTITY_NAMES}
+        monkeypatch.setattr(geo, "convergence_study", lambda *args: study)
+        assert geo.verify(["smooth"], [32, 40], 1, 1e-6, 3.5).passed
+
+    def test_report_holds_every_recipe_after_a_failure(self):
+        with pytest.raises(VerificationFailure) as failure:
+            geo.verify(["smooth", "pure-gauge"], slope_min=3.95, **_QUICK)
+        report = failure.value.report.to_dict()
+        assert set(report) == {"recipes", "passed"} and report["passed"] is False
+        assert list(report["recipes"]) == ["smooth", "pure-gauge"]
+
+    @pytest.mark.parametrize("sizes, d, message", [
+        ([32], 1, "sizes must be at least two distinct grid sizes, got '32'"),
+        ([32, 32], 1, "sizes must be at least two distinct grid sizes, got '32,32'"),
+        ([], 1, "sizes must be at least two distinct grid sizes, got ''"),
+        ([40, 32], 1, "sizes must increase, got '40,32'"),
+        ([32, 40], 2.5, "d = 2.5 is not an integer"),
+        ([32, 40], float("nan"), "d = nan is not an integer"),
+    ], ids=["single", "repeated", "none", "descending", "fractional_d", "nan_d"])
+    @pytest.mark.filterwarnings("error")
+    def test_convergence_study_refuses_before_any_grid(self, sizes, d, message, monkeypatch):
+        # a line through fewer than two distinct sizes has no slope, and
+        # verify holds tol against the first size; a grid has integer axes
+        monkeypatch.setattr(geo, "identity_residuals", lambda *args: pytest.fail("grid built"))
+        with pytest.raises(ConfigError) as refusal:
+            geo.convergence_study(geo.smooth_recipe(), sizes, d)
+        assert str(refusal.value) == message
+
+    # values that the command line refuses as config values before the
+    # library sees them: an infinite tol would pass every residual, a NaN or
+    # infinite slope_min fail every judged order, and -inf pass them all
+    @pytest.mark.parametrize("tol, slope_min, message", [
+        (float("inf"), 3.5, "tol must be finite, got inf"),
+        (1e-6, float("nan"), "slope_min must be finite, got nan"),
+        (1e-6, float("inf"), "slope_min must be finite, got inf"),
+        (1e-6, float("-inf"), "slope_min must be finite, got -inf"),
+    ], ids=["inf_tol", "nan_slope_min", "inf_slope_min", "minus_inf_slope_min"])
+    def test_non_finite_setting_refused(self, tol, slope_min, message, monkeypatch):
+        monkeypatch.setattr(geo, "identity_residuals", lambda *args: pytest.fail("grid built"))
+        with pytest.raises(ConfigError) as refusal:
+            geo.verify(["smooth"], [32, 40], 1, tol, slope_min)
+        assert str(refusal.value) == message
+
+    # each argument is valid in about half the draws, and anything else in the rest
+    _ANY_REAL = st.one_of(st.floats(), st.integers(-2, 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        recipes=st.lists(st.sampled_from(sorted(geo.NAMED_RECIPES)), max_size=2),
+        sizes=st.one_of(
+            st.lists(st.integers(32, 40), min_size=2, max_size=3, unique=True).map(sorted),
+            st.lists(st.one_of(st.integers(-1, 40), st.floats(max_value=40.0),
+                               st.just(float("nan"))), max_size=3)),
+        d=st.one_of(st.integers(1, 2), st.integers(-1, 2), st.floats(max_value=2.0),
+                    st.just(float("nan"))),
+        tol=st.one_of(st.floats(1e-12, 1e-3), _ANY_REAL),
+        slope_min=st.one_of(st.floats(-10.0, 10.0), _ANY_REAL),
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_verify_returns_or_raises_its_own_errors(self, recipes, sizes, d, tol, slope_min):
+        try:
+            report = geo.verify(recipes, sizes, d, tol, slope_min)
+        except ConfigError as err:
+            event("refused")
+            assert "\n" not in str(err)
+            return
+        except VerificationFailure as err:
+            report = err.report
+            assert not report.passed
+        event("judged")
+        assert set(report.recipes) == set(recipes)
+        assert report.passed == all(e["passed"] for v in report.recipes.values() for e in v.values())

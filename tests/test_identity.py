@@ -329,6 +329,13 @@ class TestVerify:
             entry(params, grid4096)
         assert built == []
 
+    # a NaN t makes every stencil time NaN: the refusal names t, not delta_t
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.filterwarnings("error")
+    def test_pointwise_check_refuses_a_time_that_is_not_finite(self, params, grid1024, t):
+        with pytest.raises(ConfigError, match=rf"^t = {t} is not finite$"):
+            identity.pointwise_check(params, grid1024, t)
+
     def test_no_times_refused_as_no_times(self, params, grid1024):
         with pytest.raises(ConfigError, match="no times"):
             identity.t_geo_series(params, grid1024, [])

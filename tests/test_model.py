@@ -460,6 +460,14 @@ class TestModelEdge:
         with pytest.raises(ConfigError, match="^t is NaN$"):
             build(float("nan"), grid1024, params)
 
+    # an infinite t would reach cos(inf) in the packet centre, with
+    # RuntimeWarnings, before any check that names t
+    @pytest.mark.parametrize("build", [model.hamiltonian_entries, model.assemble_psi])
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_time_refused_as_infinite(self, params, grid1024, build):
+        with pytest.raises(ConfigError, match="^t = inf is not finite$"):
+            build(float("inf"), grid1024, params)
+
     def test_first_time_past_the_edge_builds(self, params, grid4096):
         psi = model.assemble_psi(np.nextafter(model.MODEL_EDGE, 0.0), grid4096, params)
         assert abs(psi.norm() - 1.0) <= ef.NORM_TOL

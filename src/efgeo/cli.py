@@ -153,7 +153,7 @@ def _write_json(path: Path, data: dict):
 
 
 def _write_csv(path: Path, header: str, columns):
-    """One row per sample, each value in round-trip precision."""
+    """One row per entry of the columns, each value in round-trip precision."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in zip(*columns):
@@ -227,30 +227,24 @@ def cmd_emit_figure(cfg: dict, out_dir: Path) -> int:
 def cmd_propagate(cfg: dict, out_dir: Path) -> int:
     prop_cfg = propagator.PropagatorConfig(dt=cfg["dt"], t_end=cfg["t_end"])
     params, grid = _model_and_grid(cfg)
-    dump_path = out_dir / "trajectory.csv" if cfg["dump"] else None
-    try:
-        result = propagator.propagate(
-            params, grid, prop_cfg, n_samples=cfg["n_samples"], dump_path=dump_path
-        )
-    except BaseException:  # the trajectory is written as the run goes
-        if dump_path:
-            dump_path.unlink(missing_ok=True)
-        raise
+    result = propagator.propagate(
+        params, grid, prop_cfg, n_samples=cfg["n_samples"], keep_states=cfg["dump"]
+    )
     _write_manifest(out_dir, "propagate", cfg, {})
     _write_csv(out_dir / "error_series.csv", "t,l2_error,chi2_error,w_error,t_geo_error", [
         result.times, result.l2_errors, result.chi2_errors, result.w_errors, result.t_geo_errors,
     ])
-    summary = {
-        "steps": result.steps,
-        "final_l2_error": float(result.l2_errors[-1]),
-        "norm_drift": result.norm_drift,
-        "max_chi2_error": float(np.max(result.chi2_errors)),
-        "max_t_geo_error": float(np.max(result.t_geo_errors)),
-    }
-    _write_json(out_dir / "report.json", summary)
+    if cfg["dump"]:  # one row per grid point per sampled state
+        psi1, psi2 = np.hstack([(s.psi1, s.psi2) for s in result.states])
+        _write_csv(out_dir / "trajectory.csv", "t,x,re_psi1,im_psi1,re_psi2,im_psi2", [
+            np.repeat(result.times, grid.n), np.tile(grid.x, len(result.states)),
+            psi1.real, psi1.imag, psi2.real, psi2.imag,
+        ])
+    report = result.to_dict()
+    _write_json(out_dir / "report.json", report)
     print(
-        f"propagate: {result.steps} steps, final L2 error {summary['final_l2_error']:.3e}, "
-        f"norm drift {summary['norm_drift']:.3e}"
+        f"propagate: {result.steps} steps, final L2 error {report['final_l2_error']:.3e}, "
+        f"norm drift {report['norm_drift']:.3e}"
     )
     return 0
 

@@ -27,6 +27,7 @@ references permute these indices differently.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -70,6 +71,8 @@ class ParamGrid:
             raise ConfigError(f"dimension {len(shape)} not in 1..3")
         if any(m < 32 for m in shape):
             raise ConfigError(f"need >= 32 points per axis, got {shape}")
+        if math.prod(shape) > 2 ** 53:  # a size per axis could pass and the grid overflow
+            raise ConfigError(f"grid {shape} has more than 2**53 points")
 
     @property
     def d(self) -> int:
@@ -490,14 +493,18 @@ def convergence_study(recipe: FamilyRecipe, sizes, d: int) -> dict:
     Returns {identity: {"sizes": [...], "max_abs": [...], "order": slope}}.
     The order is the least-squares slope of log(residual) against log(1/n)
     and is reported as nan when a residual is at or below FIT_FLOOR.  Raises
-    ConfigError for sizes that check_sizes refuses or a d not an integer.
+    ConfigError, before any grid, for sizes that check_sizes or ParamGrid
+    refuses or a d that is not an integer in 1..3.
     """
     sizes = check_sizes(sizes)
     try:
         d = operator.index(d)
     except TypeError:
         raise ConfigError(f"d = {d!r} is not an integer") from None
-    per_size = [identity_residuals(recipe, ParamGrid(shape=(m,) * d)) for m in sizes]
+    if not 1 <= d <= 3:  # before the shape tuple (m,) * d
+        raise ConfigError(f"dimension {d} not in 1..3")
+    grids = [ParamGrid(shape=(m,) * d) for m in sizes]  # every size refused before any grid
+    per_size = [identity_residuals(recipe, grid) for grid in grids]
     log_inv_n = np.log(1.0 / np.asarray(sizes, dtype=float))
     out = {}
     for name in IDENTITY_NAMES:

@@ -136,6 +136,8 @@ def sample_times(t_start: float, t_end: float, samples: int) -> np.ndarray:
         raise ConfigError(f"t_start = {t_start} is negative; the model starts at t = 0")
     if samples < 2 or not t_end > t_start:
         raise ConfigError("need at least 2 samples spanning a nonzero time range")
+    if samples > 2 ** 53:  # refused before np.linspace asks for the memory
+        raise ConfigError(f"samples = {samples} exceeds 2**53")
     return np.linspace(t_start, t_end, samples)
 
 

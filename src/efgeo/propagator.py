@@ -19,6 +19,8 @@ so the drift stays at the random-walk level.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +41,19 @@ class PropagatorConfig:
     t_end: float
 
     def __post_init__(self):
+        for name in ("dt", "t_end"):  # as floats, so that no comparison below can raise
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} = {value!r} is not a real number")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ConfigError(f"{name} is an integer beyond the double range") from None
         if not 0.0 < self.dt < np.inf:
             raise ConfigError("dt must be positive and finite")
         if not 0.0 <= self.t_end < np.inf:
             raise ConfigError("t_end must be non-negative and finite")
-        if self.steps > 2 ** 53:  # beyond exact integers in a double
+        if not self.t_end / self.dt <= 2 ** 53:  # beyond exact integers in a double, or inf
             raise ConfigError(f"t_end / dt = {self.t_end / self.dt:.3g} steps exceeds 2**53")
         if abs(self.steps * self.dt - self.t_end) > HORIZON_REL_TOL * self.t_end:
             raise ConfigError(f"t_end = {self.t_end} is not a whole number of steps dt = {self.dt}")
@@ -57,6 +67,9 @@ class PropagatorConfig:
 
 @dataclass
 class PropagationResult:
+    """Errors against the reference at each sampled step, the largest norm
+    drift of the run, its final state, and the sampled states when kept."""
+
     times: np.ndarray
     l2_errors: np.ndarray
     chi2_errors: np.ndarray
@@ -65,6 +78,17 @@ class PropagationResult:
     norm_drift: float
     final_state: ef.TwoComponentWavefunction
     steps: int
+    states: list
+
+    def to_dict(self) -> dict:
+        """The run's summary, as propagate writes it to report.json."""
+        return {
+            "steps": self.steps,
+            "final_l2_error": float(self.l2_errors[-1]),
+            "norm_drift": self.norm_drift,
+            "max_chi2_error": float(np.max(self.chi2_errors)),
+            "max_t_geo_error": float(np.max(self.t_geo_errors)),
+        }
 
 
 def _potential_factor(h0, h1, h3, tau):
@@ -125,10 +149,22 @@ def _step_arrays(psi1, psi2, t, dt, h_provider, kin_phase, work):
 
 def sample_steps(n_steps: int, n_samples: int) -> list:
     """Step indices at which a run of n_steps records its errors: n_samples
-    evenly spaced from the first step to the last, fewer where they coincide."""
+    distinct ones evenly spaced from the first step to the last, both
+    included; a run of no steps records its one state.  Raises ConfigError,
+    before any allocation, for an n_samples that is not an integer, is
+    below 2, or exceeds the run's step indices."""
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ConfigError(f"n_samples = {n_samples!r} is not an integer") from None
     if n_samples < 2:
         raise ConfigError(f"n_samples = {n_samples}: need at least 2, the first and the last step")
-    return sorted(set(np.linspace(0, n_steps, n_samples).astype(int))) if n_steps else [0]
+    if not n_steps:
+        return [0]
+    if n_samples > n_steps + 1:
+        raise ConfigError(f"n_samples = {n_samples} exceeds the {n_steps + 1} step indices "
+                          f"0..{n_steps} of a run of {n_steps} steps")
+    return np.linspace(0, n_steps, n_samples).astype(int).tolist()
 
 
 def propagate(
@@ -139,7 +175,7 @@ def propagate(
     h_provider=None,
     reference=None,
     n_samples: int = 11,
-    dump_path=None,
+    keep_states: bool = False,
 ) -> PropagationResult:
     """Propagate from t = 0 to cfg.t_end, recording errors at sample times.
 
@@ -148,19 +184,15 @@ def propagate(
     end-to-end check of the reverse engineering.  Each argument can be
     overridden independently (e.g. zero potential against a free-packet
     reference); h_provider(t) returns (h0, h1, h3), as
-    model.hamiltonian_entries does.  Raises ConfigError, before any state
-    is built, for a grid that model.check_grid refuses at the sample times
-    and for more n_samples than the run has steps plus one.  The initial
-    state and the reference span the whole grid: every FFT of a step reads
-    each point.
+    model.hamiltonian_entries does.  With keep_states the result holds the
+    state at each sample time.  Raises ConfigError, before any state is
+    built, for n_samples that sample_steps refuses and for a grid that
+    model.check_grid refuses at the sample times.  The initial state and
+    the reference span the whole grid: every FFT of a step reads each point.
     """
     n_steps = cfg.steps
     samples = sample_steps(n_steps, n_samples)
     model.check_grid(params, grid, np.asarray(samples) * cfg.dt)
-    # each sample records a distinct step; a run of no steps records its one state
-    if n_steps and len(samples) < n_samples:
-        raise ConfigError(f"n_samples = {n_samples} exceeds the {n_steps + 1} step indices "
-                          f"0..{n_steps} of a run of {n_steps} steps")
     if h_provider is None:
         h_provider = lambda t: model.hamiltonian_entries(t, grid, params)
     if initial is None:
@@ -178,65 +210,43 @@ def propagate(
     norm0 = grid.dx * (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2))
     norm_drift = abs(norm0 - 1.0)
 
-    times, l2s, chi2s, ws, tgeos = [], [], [], [], []
-    dump = open(dump_path, "w", encoding="utf-8") if dump_path else None
-    try:
-        if dump:
-            dump.write("t,x,re_psi1,im_psi1,re_psi2,im_psi2\n")
-        sample_iter = iter(samples)
-        next_sample = next(sample_iter)
-        for step_idx in range(n_steps + 1):
-            t = step_idx * cfg.dt
-            if step_idx == next_sample:
-                self_state = ef.TwoComponentWavefunction(grid=grid, psi1=psi1, psi2=psi2)
-                _record(self_state, reference(t), params, times, l2s, chi2s, ws, tgeos, t)
-                if dump:
-                    for xi, a, b in zip(grid.x, psi1, psi2):
-                        dump.write(
-                            f"{t:.17g},{xi:.17g},{a.real:.17g},{a.imag:.17g},"
-                            f"{b.real:.17g},{b.imag:.17g}\n"
-                        )
-                next_sample = next(sample_iter, None)
-            if step_idx == n_steps:
-                break
-            psi1, psi2 = _step_arrays(psi1, psi2, t, cfg.dt, h_provider, kin_phase, work)
-            norm = grid.dx * (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2))
-            if not np.isfinite(norm):
-                raise VerificationFailure(f"norm diverged at step {step_idx + 1}")
-            norm_drift = max(norm_drift, abs(norm - 1.0))
-    finally:
-        if dump:
-            dump.close()
+    rows, states, sampled = [], [], set(samples)
+    for step_idx in range(n_steps + 1):
+        t = step_idx * cfg.dt
+        if step_idx in sampled:  # the last step always is, so state ends as the final one
+            state = ef.TwoComponentWavefunction(grid=grid, psi1=psi1, psi2=psi2)
+            rows.append(_record(state, reference(t), params, t))
+            if keep_states:
+                states.append(state)
+        if step_idx == n_steps:
+            break
+        psi1, psi2 = _step_arrays(psi1, psi2, t, cfg.dt, h_provider, kin_phase, work)
+        norm = grid.dx * (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2))
+        if not np.isfinite(norm):
+            raise VerificationFailure(f"norm diverged at step {step_idx + 1}")
+        norm_drift = max(norm_drift, abs(norm - 1.0))
 
-    final = ef.TwoComponentWavefunction(grid=grid, psi1=psi1, psi2=psi2)
-    return PropagationResult(
-        times=np.asarray(times),
-        l2_errors=np.asarray(l2s),
-        chi2_errors=np.asarray(chi2s),
-        w_errors=np.asarray(ws),
-        t_geo_errors=np.asarray(tgeos),
-        norm_drift=float(norm_drift),
-        final_state=final,
-        steps=n_steps,
-    )
+    return PropagationResult(*map(np.asarray, zip(*rows)), norm_drift=float(norm_drift),
+                             final_state=state, steps=n_steps, states=states)
 
 
-def _record(state, ref, params, times, l2s, chi2s, ws, tgeos, t):
+def _record(state, ref, params, t) -> tuple:
+    """The errors of state against the reference ref at time t, one row of
+    PropagationResult's first five fields."""
     grid = state.grid
     diff2 = np.abs(state.psi1 - ref.psi1) ** 2 + np.abs(state.psi2 - ref.psi2) ** 2
-    l2s.append(float(np.sqrt(grid.integrate(diff2))))
+    l2 = float(np.sqrt(grid.integrate(diff2)))
     rho_num, rho_ref = state.density, ref.density
-    chi2s.append(float(np.max(np.abs(rho_num - rho_ref))))
+    chi2 = float(np.max(np.abs(rho_num - rho_ref)))
     # population difference on the visible part of the packet
     vis = rho_ref > 1e-8 * rho_ref.max()
     w_num = np.where(vis, (np.abs(state.psi1) ** 2 - np.abs(state.psi2) ** 2), 0.0)
     w_ref = np.where(vis, (np.abs(ref.psi1) ** 2 - np.abs(ref.psi2) ** 2), 0.0)
     rho_safe = np.where(vis, rho_ref, 1.0)
-    ws.append(float(np.max(np.abs(w_num - w_ref) / rho_safe)))
+    w = float(np.max(np.abs(w_num - w_ref) / rho_safe))
     dec_num = ef.decompose(state, inertia=params.inertia)
     dec_ref = ef.decompose(ref, inertia=params.inertia)
-    tgeos.append(abs(ef.geometric_energy(dec_num) - ef.geometric_energy(dec_ref)))
-    times.append(t)
+    return t, l2, chi2, w, abs(ef.geometric_energy(dec_num) - ef.geometric_energy(dec_ref))
 
 
 def convergence_order(params, grid: Grid1D, dts, t_end: float) -> dict:

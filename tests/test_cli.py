@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from efgeo import cli, geometry, identity, model, propagator
 from efgeo.cli import main
 from efgeo.errors import ConfigError
-from efgeo.grid import central_difference
+from efgeo.grid import Grid1D, central_difference
 
 
 def run(argv):
@@ -281,7 +281,15 @@ class TestPropagate:
         code = run(["propagate", "--n", "1024", "--dt", "1e-3", "--t-end", "0.002",
                     "--n-samples", "2", "--dump", "--out", str(out)])
         assert code == 0
-        assert (out / "trajectory.csv").exists()
+        header, columns = _read_csv(out / "trajectory.csv")
+        assert header == "t,x,re_psi1,im_psi1,re_psi2,im_psi2"
+        # one row per grid point per sample, the first sample the initial state
+        grid = Grid1D(-4.0, 6.0, 1024)
+        assert np.array_equal(columns[0], np.repeat([0.0, 0.002], grid.n))
+        assert np.array_equal(columns[1], np.tile(grid.x, 2))
+        psi = model.assemble_psi(0.0, grid, model.ModelParams())
+        assert np.array_equal(columns[2:, :grid.n],
+                              [psi.psi1.real, psi.psi1.imag, psi.psi2.real, psi.psi2.imag])
 
 
 def _raw_config(tmp_path, text):
@@ -353,6 +361,14 @@ BAD_INPUTS = {
         "verify-tensors", "--tol=-1", "--dimension", "1", "--sizes", "32,40"
     ],
     "step_count_beyond_double": lambda p: ["propagate", "--t-end", "1e300"],
+    # counts refused before numpy is asked for the arrays: the sample times,
+    # the step indices, and a grid of sizes multiplied over its axes
+    "huge_identity_samples": lambda p: ["verify-identity", "--samples", str(10 ** 20)],
+    "huge_figure_samples": lambda p: ["emit-figure", "--samples", str(10 ** 20)],
+    "huge_propagate_samples": lambda p: [
+        "propagate", "--n", "512", "--dt", "1e-3", "--t-end", "0.002", "--n-samples", str(10 ** 20)
+    ],
+    "huge_tensor_size": lambda p: ["verify-tensors", "--sizes", f"64,{10 ** 20}"],
     # fails before any allocation: 2**53 int64 points need 64 PiB, more than
     # any address space holds
     "grid_beyond_memory": lambda p: ["verify-identity", "--n", str(2 ** 53)],
@@ -372,7 +388,8 @@ BAD_INPUTS = {
     ],
     # the model's front steepness gamma (1 + eta t), squared, would overflow
     "overflowing_steepness_propagate": lambda p: [
-        "propagate", "--gamma", "1e155", "--t-end", "0.002", "--dt", "1e-3", "--n", "512"
+        "propagate", "--gamma", "1e155", "--t-end", "0.002", "--dt", "1e-3", "--n", "512",
+        "--n-samples", "2"
     ],
     "overflowing_steepness_identity": lambda p: [
         "verify-identity", "--gamma", "1e155", "--n", "512", "--t-end", "0.01", "--samples", "2"
@@ -438,6 +455,8 @@ _TENSOR_REFUSALS = {
                          "need at least one recipe, each named once, got 'smooth,smooth'"),
     "unknown_recipe": (["mystery"], [64, 128, 256], 2, 1e-6,
                        "unknown recipe 'mystery'; choose from ['constant', 'pure-gauge', 'smooth']"),
+    "huge_tensor_size": (_DEFAULT_RECIPES, [64, 10 ** 20], 2, 1e-6,
+                         f"grid {(10 ** 20, 10 ** 20)} has more than 2**53 points"),
 }
 
 
@@ -558,8 +577,7 @@ def test_domain_message_names_the_edges_and_the_packet_centre(tmp_path, capsys):
 
 def test_singular_gauge_mid_run_exits_2_with_one_line(tmp_path, capsys):
     # eta near 0 puts the Bloch angles on a coordinate singularity, which
-    # only the Hamiltonian entries of the run detect; propagate has dumped
-    # the first sample by then
+    # only the Hamiltonian entries of the run detect, after the first sample
     singular = ["--eta", "1e-62", "--n", "512"]
     runs = {
         "identity": ["verify-identity", *singular, "--t-end", "0.01", "--samples", "2"],

@@ -38,6 +38,12 @@ class TestParamGrid:
         with pytest.raises(ConfigError):
             geo.ParamGrid((32, 32, 32, 32))
 
+    def test_point_count_bound(self):
+        # a bound per axis would let a d = 3 grid past numpy's size limit
+        assert geo.ParamGrid((2 ** 18, 2 ** 18, 2 ** 17)).d == 3
+        with pytest.raises(ConfigError, match=r"has more than 2\*\*53 points$"):
+            geo.ParamGrid((2 ** 18, 2 ** 18, 2 ** 17 + 1))
+
     def test_diff_single_mode(self):
         grid = geo.ParamGrid((64, 64))
         Q1, Q2 = grid.meshes()
@@ -593,7 +599,10 @@ class TestVerify:
         ([40, 32], 1, "sizes must increase, got '40,32'"),
         ([32, 40], 2.5, "d = 2.5 is not an integer"),
         ([32, 40], float("nan"), "d = nan is not an integer"),
-    ], ids=["single", "repeated", "none", "descending", "fractional_d", "nan_d"])
+        ([32, 40], 0, "dimension 0 not in 1..3"),
+        ([32, 10 ** 20], 1, "grid (100000000000000000000,) has more than 2**53 points"),
+    ], ids=["single", "repeated", "none", "descending", "fractional_d", "nan_d", "zero_d",
+            "huge_size"])
     @pytest.mark.filterwarnings("error")
     def test_convergence_study_refuses_before_any_grid(self, sizes, d, message, monkeypatch):
         # a line through fewer than two distinct sizes has no slope, and
@@ -602,6 +611,19 @@ class TestVerify:
         with pytest.raises(ConfigError) as refusal:
             geo.convergence_study(geo.smooth_recipe(), sizes, d)
         assert str(refusal.value) == message
+
+    def test_huge_dimension_refused_before_its_shape(self):
+        # the shape tuple (m,) * d of d = 10**6 peaked at 16.7 MB before
+        # ParamGrid refused it
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as refusal:
+                geo.convergence_study(geo.smooth_recipe(), [32, 40], 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refusal.value) == "dimension 1000000 not in 1..3"
+        assert peak < 1 << 20
 
     # values that the command line refuses as config values before the
     # library sees them: an infinite tol would pass every residual, a NaN or

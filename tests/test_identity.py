@@ -260,6 +260,14 @@ class TestVerify:
         with pytest.raises(ConfigError, match=r"^samples = 2.5 is not an integer$"):
             identity.verify(params, grid4096, samples=2.5)
 
+    def test_sample_count_bound(self, monkeypatch):
+        # np.linspace failed on 10**20 samples with a numpy traceback; the
+        # limit itself passes the count to np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *args: "times")
+        assert identity.sample_times(0.0, 1.0, 2 ** 53) == "times"
+        with pytest.raises(ConfigError, match=r"^samples = 9007199254740993 exceeds 2\*\*53$"):
+            identity.sample_times(0.0, 1.0, 2 ** 53 + 1)
+
     # delta_t = 0.2: the stencil around t_start = 0 reaches t = -0.4, past the
     # model's edge at -1/3
     @pytest.mark.parametrize("bad", [{"delta_t": 0.0}, {"rel_tol": 0.0},

@@ -1,3 +1,4 @@
+import ast
 import re
 import sys
 from pathlib import Path
@@ -32,6 +33,23 @@ def test_every_traced_attribute_exists(module, path, name):
     # attribute breaks --trace 1 with a KeyError
     owner, attr = _TRACER._resolve(module, path)
     assert attr in owner.__dict__, name
+
+
+# calls that reach the file system, by function or method name
+_FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "unlink", "mkdir"}
+
+
+def test_only_the_command_line_touches_the_file_system():
+    # the library computes and returns; cli writes every output, so a
+    # refused or failed run leaves no file because none was ever opened
+    callers = {}
+    for path in sorted(Path(efgeo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in _FILE_CALLS:
+                    callers.setdefault(path.name, set()).add(name)
+    assert set(callers) == {"cli.py"}, callers
 
 
 def test_readme_python_example_runs(capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from efgeo import ef, model, propagator
@@ -265,8 +265,8 @@ class TestModelPropagation:
         built = []
         monkeypatch.setattr(model, "assemble_psi", lambda *args: built.append(args))
         cfg = propagator.PropagatorConfig(dt=1e-3, t_end=0.002)
-        with pytest.raises(ConfigError, match="misses the packet"):
-            propagator.propagate(params, Grid1D(5.0, 6.0, 4096), cfg)
+        with pytest.raises(ConfigError, match="misses the packet"):  # 3 samples in 2 steps
+            propagator.propagate(params, Grid1D(5.0, 6.0, 4096), cfg, n_samples=3)
         assert built == []
 
     def test_zero_horizon_is_identity(self, params, grid4096):
@@ -292,10 +292,116 @@ class TestModelPropagation:
         with pytest.raises(VerificationFailure, match="norm diverged at step 1$"):
             propagator.propagate(params, grid1024, cfg, h_provider=provider, n_samples=2)
 
-    def test_trajectory_dump(self, params, grid1024, tmp_path):
+    @pytest.mark.parametrize("keep_states", [False, True])
+    def test_keep_states(self, params, grid1024, keep_states):
         cfg = propagator.PropagatorConfig(dt=1e-3, t_end=0.01)
-        path = tmp_path / "trajectory.csv"
-        propagator.propagate(params, grid1024, cfg, n_samples=2, dump_path=path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,x,re_psi1,im_psi1,re_psi2,im_psi2"
-        assert len(lines) == 1 + 2 * grid1024.n
+        res = propagator.propagate(params, grid1024, cfg, n_samples=3, keep_states=keep_states)
+        if not keep_states:  # a default run holds only its final state
+            assert res.states == []
+            return
+        # the state recorded at each sample time, the last of them the final state
+        assert len(res.states) == 3 and res.states[-1] is res.final_state
+        for t, state, l2 in zip(res.times, res.states, res.l2_errors):
+            ref = model.assemble_psi(t, grid1024, params)
+            diff2 = np.abs(state.psi1 - ref.psi1) ** 2 + np.abs(state.psi2 - ref.psi2) ** 2
+            assert np.sqrt(grid1024.integrate(diff2)) == l2
+
+    def test_report_is_the_run_summary(self, params, grid1024):
+        res = propagator.propagate(params, grid1024, propagator.PropagatorConfig(1e-3, 0.002),
+                                   n_samples=3)
+        assert res.to_dict() == {
+            "steps": 2,
+            "final_l2_error": res.l2_errors[-1],
+            "norm_drift": res.norm_drift,
+            "max_chi2_error": max(res.chi2_errors),
+            "max_t_geo_error": max(res.t_geo_errors),
+        }
+        assert all(type(value) in (int, float) for value in res.to_dict().values())
+
+
+class TestSampleSteps:
+    @settings(max_examples=200, deadline=None)
+    @given(n_steps=st.integers(1, 1500), data=st.data())
+    def test_every_accepted_count_gives_distinct_steps(self, n_steps, data):
+        # the rule refuses exactly the counts that would make two samples coincide
+        n_samples = data.draw(st.integers(2, n_steps + 1), label="n_samples")
+        samples = propagator.sample_steps(n_steps, n_samples)
+        assert len(set(samples)) == n_samples
+        assert samples == sorted(samples) and samples[0] == 0 and samples[-1] == n_steps
+        with pytest.raises(ConfigError, match=f"exceeds the {n_steps + 1} step indices"):
+            propagator.sample_steps(n_steps, n_steps + 2)
+
+    @pytest.mark.parametrize("n_samples, message", [
+        (10 ** 20, "n_samples = 100000000000000000000 exceeds the 3 step indices 0..2 "
+                   "of a run of 2 steps"),
+        (2.5, "n_samples = 2.5 is not an integer"),
+        (float("nan"), "n_samples = nan is not an integer"),
+    ], ids=["huge", "fractional", "nan"])
+    def test_refused_before_any_allocation(self, n_samples, message, monkeypatch):
+        # 10**20 samples made np.linspace fail on its size, 10**12 ask for
+        # 7.28 TiB; a float count raised TypeError
+        monkeypatch.setattr(np, "linspace", lambda *args: pytest.fail("allocated"))
+        with pytest.raises(ConfigError) as refusal:
+            propagator.sample_steps(2, n_samples)
+        assert str(refusal.value) == message
+
+    def test_a_run_of_no_steps_records_its_one_state(self):
+        assert propagator.sample_steps(0, 10 ** 20) == [0]
+
+
+@pytest.mark.parametrize("dt, t_end, message", [
+    ("1e-3", 1.0, "dt = '1e-3' is not a real number"),
+    (1e-3, None, "t_end = None is not a real number"),
+    (10 ** 400, 1.0, "dt is an integer beyond the double range"),
+    (1e-3, 10 ** 400, "t_end is an integer beyond the double range"),
+    (1e-300, 1e300, "t_end / dt = inf steps exceeds 2**53"),
+    (5e-324, 1e-3, "t_end / dt = inf steps exceeds 2**53"),
+], ids=["string_dt", "none_t_end", "huge_int_dt", "huge_int_t_end", "overflowing_ratio",
+        "subnormal_dt"])
+def test_config_refuses_what_it_cannot_compare(dt, t_end, message):
+    # each raised TypeError or OverflowError
+    with pytest.raises(ConfigError) as refusal:
+        propagator.PropagatorConfig(dt=dt, t_end=t_end)
+    assert str(refusal.value) == message
+
+
+# anything a caller might pass, including NaN, infinities, negatives and
+# huge values
+_ANY = st.one_of(st.floats(), st.integers(), st.integers(2 ** 53, 2 ** 1100), st.booleans(),
+                 st.text(max_size=4), st.none())
+_GRID512 = Grid1D(-4.0, 6.0, 512)
+
+
+def _half(usual, anything):
+    """A usual value in about half the draws, anything in the rest."""
+    return st.booleans().flatmap(lambda use: usual if use else anything)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@pytest.mark.filterwarnings("error")
+def test_public_entry_points_return_or_raise_their_own_errors(params, data):
+    # usually a run of at most 3 steps
+    dt = data.draw(_half(st.sampled_from([1e-3, 5e-4, 1e-4]), _ANY), label="dt")
+    steps = st.integers(0, 3).map(lambda k: k * dt) if isinstance(dt, float) else _ANY
+    t_end = data.draw(_half(steps, _ANY), label="t_end")
+    n_samples = data.draw(_half(st.integers(2, 4), st.one_of(
+        st.integers(-1, 5), st.integers(), st.integers(2 ** 53, 2 ** 80), st.floats(),
+        st.booleans())), label="n_samples")
+    keep_states = data.draw(st.booleans(), label="keep_states")
+    try:
+        cfg = propagator.PropagatorConfig(dt=dt, t_end=t_end)
+        if cfg.steps > 3:  # accepted, but too long a run to take here
+            event("long run")
+            return
+        samples = propagator.sample_steps(cfg.steps, n_samples)
+        res = propagator.propagate(params, _GRID512, cfg, n_samples=n_samples,
+                                   keep_states=keep_states)
+    except (ConfigError, VerificationFailure) as err:
+        event(f"refused: {type(err).__name__}")
+        assert "\n" not in str(err)
+        return
+    event("ran")
+    assert res.steps == cfg.steps
+    assert res.times.tolist() == [step * cfg.dt for step in samples]
+    assert len(res.states) == (len(samples) if keep_states else 0)
